@@ -2,14 +2,16 @@
 //!
 //! ```text
 //! cargo run --release -p bench --bin phases                        # full: 256 → 4096 hosts, 12 intervals
-//! cargo run --release -p bench --bin phases -- --fast              # CI: 256 → 1024 hosts, 8 intervals
+//! cargo run --release -p bench --bin phases -- --fast              # CI: 256 → 1024 hosts × 8 intervals, 4096 × 4
 //! cargo run --release -p bench --bin phases -- --out PHASES.json   # also: PHASES_JSON env var
 //! cargo run --release -p bench --bin phases -- --seed 9
 //! ```
 //!
 //! Prints a per-interval stage table and writes `PHASES_PR.json` rows —
 //! one per scenario — that CI gates: `determine_failures_s` at
-//! `aiot-1024` must stay within 20% of `ci/phase_baseline.json`.
+//! `aiot-1024` must stay within 20% of `ci/phase_baseline.json`, and
+//! `per_interval_s` at `aiot-4096` must stay within 5× that at
+//! `aiot-1024`.
 
 use bench::phases::{profile, render_table, to_json, PhasesConfig, PHASES_JSON_ENV};
 
@@ -22,7 +24,7 @@ fn main() {
     let out_path = args.out_path(PHASES_JSON_ENV);
 
     let config = if args.fast {
-        eprintln!("[phases] fast profile: 256 → 1024 hosts…");
+        eprintln!("[phases] fast profile: 256 → 4096 hosts…");
         PhasesConfig::fast(seed)
     } else {
         eprintln!("[phases] full profile: 256 → 4096 hosts…");

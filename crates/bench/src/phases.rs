@@ -8,11 +8,15 @@
 //! controller, so the numbers isolate the simulation itself — and
 //! accumulates the per-stage wall-clock into one row per scenario.
 //!
-//! CI consumes two columns: `determine_failures_s` at `aiot-1024` is
-//! gated against `ci/phase_baseline.json` (>20% regression fails), and
-//! `determine_failures_frac` at `aiot-4096` documents that failure
-//! determination no longer dominates the interval (the pre-sharding
-//! engine spent the majority of large-federation steps there).
+//! CI consumes three columns of the fast profile. `determine_failures_s`
+//! at `aiot-1024` is gated against `ci/phase_baseline.json` (>20%
+//! regression fails). `per_interval_s` at `aiot-4096` over `aiot-1024` is
+//! a complexity gate: 4× the hosts may cost at most 5× the step time, a
+//! ratio that holds on any runner and that a per-host O(n) scan (an O(n²)
+//! interval) breaks. `determine_failures_frac` at `aiot-4096` documents
+//! that failure determination no longer dominates the interval (the
+//! pre-sharding engine spent the majority of large-federation steps
+//! there).
 
 use carol::scenario::ScenarioSpec;
 use edgesim::{PhaseTimings, Simulator};
@@ -26,10 +30,9 @@ pub const PHASES_JSON_ENV: &str = "PHASES_JSON";
 /// Configuration of one phase-profile run.
 #[derive(Debug, Clone)]
 pub struct PhasesConfig {
-    /// Registry scenario names to profile, in order.
-    pub scenarios: Vec<&'static str>,
-    /// Scheduling intervals per scenario.
-    pub intervals: usize,
+    /// Registry scenario names to profile, in order, each with its
+    /// scheduling-interval count.
+    pub scenarios: Vec<(&'static str, usize)>,
     /// Master seed.
     pub seed: u64,
 }
@@ -38,17 +41,16 @@ impl PhasesConfig {
     /// The full profile: up to 4096 hosts, 12 intervals per scenario.
     pub fn full(seed: u64) -> Self {
         Self {
-            scenarios: vec!["aiot-256", "aiot-1024", "aiot-4096"],
-            intervals: 12,
+            scenarios: vec![("aiot-256", 12), ("aiot-1024", 12), ("aiot-4096", 12)],
             seed,
         }
     }
 
-    /// CI-budget profile: up to 1024 hosts, 8 intervals.
+    /// CI-budget profile: 8 intervals up to 1024 hosts, plus 4 at 4096
+    /// hosts for the complexity gate.
     pub fn fast(seed: u64) -> Self {
         Self {
-            scenarios: vec!["aiot-256", "aiot-1024"],
-            intervals: 8,
+            scenarios: vec![("aiot-256", 8), ("aiot-1024", 8), ("aiot-4096", 4)],
             seed,
         }
     }
@@ -125,7 +127,7 @@ pub fn profile(config: &PhasesConfig) -> Vec<PhasePoint> {
     config
         .scenarios
         .iter()
-        .map(|name| profile_scenario(name, config.intervals, config.seed))
+        .map(|&(name, intervals)| profile_scenario(name, intervals, config.seed))
         .collect()
 }
 
@@ -168,8 +170,7 @@ mod tests {
     #[test]
     fn profile_times_every_stage_and_round_trips() {
         let config = PhasesConfig {
-            scenarios: vec!["paper-16"],
-            intervals: 4,
+            scenarios: vec![("paper-16", 4)],
             seed: 3,
         };
         let points = profile(&config);

@@ -994,6 +994,46 @@ mod tests {
         }
     }
 
+    /// A checkpoint whose Γ holds a damaged topology is refused with a
+    /// typed error at parse time, not accepted into a broken index.
+    #[test]
+    fn damaged_gamma_topology_is_a_typed_checkpoint_error() {
+        let mut policy = Carol::pretrained(
+            CarolConfig {
+                fine_tune: FineTuneMode::Never,
+                ..CarolConfig::fast_test()
+            },
+            4,
+        );
+        let mut sim = Simulator::new(SimConfig::small(8, 2, 4));
+        let mut sched = LeastLoadScheduler::new();
+        for _ in 0..3 {
+            let report = sim.step(Vec::new(), &mut sched);
+            let snapshot = capture(&sim, &report.decision);
+            policy.observe(&sim, &snapshot, &report);
+        }
+        let ckpt = policy.checkpoint().unwrap();
+        assert!(!ckpt.gamma.is_empty(), "fault-free intervals feed Γ");
+        let json = serde_json::to_string(&ckpt).unwrap();
+        assert!(CarolCheckpoint::from_json(&json).is_ok());
+
+        let gamma_at = json.find("\"gamma\"").unwrap();
+        let worker = r#"{"Worker":{"broker":0}}"#;
+        let at = gamma_at + json[gamma_at..].find(worker).unwrap();
+        let damaged = format!(
+            "{}{}{}",
+            &json[..at],
+            r#"{"Worker":{"broker":99}}"#,
+            &json[at + worker.len()..]
+        );
+        match CarolCheckpoint::from_json(&damaged) {
+            Err(CarolCheckpointError::Json(msg)) => {
+                assert!(msg.contains("invalid topology"), "{msg}")
+            }
+            other => panic!("damaged Γ topology accepted: {other:?}"),
+        }
+    }
+
     #[test]
     fn variant_names_are_distinct() {
         let mk = |variant, fine_tune| {

@@ -48,26 +48,19 @@ pub fn neighborhood(topo: &Topology, b: HostId, banned: &[HostId]) -> Vec<Topolo
         return out;
     }
     let is_banned = |h: HostId| h == b || banned.contains(&h);
-    let orphans: Vec<HostId> = topo
-        .workers_of(b)
-        .into_iter()
+    // Every worker of `b`, banned ones included, needs a new broker.
+    let lei_workers = topo.workers_of(b);
+    let orphans: Vec<HostId> = lei_workers
+        .iter()
+        .copied()
         .filter(|&w| !is_banned(w))
-        .collect();
-    let other_brokers: Vec<HostId> = topo
-        .brokers()
-        .into_iter()
-        .filter(|&x| !is_banned(x))
         .collect();
 
     // --- Type 2: merge the LEI into each surviving broker.
-    for &target in &other_brokers {
+    for &target in topo.brokers().iter().filter(|&&x| !is_banned(x)) {
         let mut t = topo.clone();
-        for &w in &orphans {
+        for &w in lei_workers {
             t.reassign(w, target).expect("orphan reassignment is valid");
-        }
-        // Any workers of b that were banned still need a broker.
-        for w in t.workers_of(b) {
-            t.reassign(w, target).expect("banned-worker reassignment");
         }
         if t.demote(b, target).is_ok() {
             out.push(t);
@@ -78,13 +71,8 @@ pub fn neighborhood(topo: &Topology, b: HostId, banned: &[HostId]) -> Vec<Topolo
     for &leader in &orphans {
         let mut t = topo.clone();
         t.promote(leader).expect("orphan promotion is valid");
-        for &w in &orphans {
-            if w != leader {
-                t.reassign(w, leader).expect("sibling reassignment");
-            }
-        }
-        for w in t.workers_of(b) {
-            t.reassign(w, leader).expect("leftover reassignment");
+        for &w in lei_workers.iter().filter(|&&w| w != leader) {
+            t.reassign(w, leader).expect("sibling reassignment");
         }
         if t.demote(b, leader).is_ok() {
             out.push(t);
@@ -107,8 +95,8 @@ pub fn neighborhood(topo: &Topology, b: HostId, banned: &[HostId]) -> Vec<Topolo
                 let target = if k % 2 == 0 { a } else { c };
                 t.reassign(w, target).expect("even split reassignment");
             }
-            for w in t.workers_of(b) {
-                t.reassign(w, a).expect("leftover to first new broker");
+            for &w in lei_workers.iter().filter(|&&w| is_banned(w)) {
+                t.reassign(w, a).expect("banned worker to first new broker");
             }
             if t.demote(b, a).is_ok() {
                 out.push(t);
@@ -119,16 +107,11 @@ pub fn neighborhood(topo: &Topology, b: HostId, banned: &[HostId]) -> Vec<Topolo
     // Keep the broker layer inside the structural band when possible;
     // fall back to the unfiltered set so a failure is always repairable.
     let (lo, hi) = broker_bounds(topo);
-    let bounded: Vec<Topology> = out
-        .iter()
-        .filter(|t| (lo..=hi).contains(&t.brokers().len()))
-        .cloned()
-        .collect();
-    if bounded.is_empty() {
-        out
-    } else {
-        bounded
+    let in_band = |t: &Topology| (lo..=hi).contains(&t.brokers().len());
+    if out.iter().any(in_band) {
+        out.retain(in_band);
     }
+    out
 }
 
 /// Picks one random node-shift from the repair neighbourhood (Algorithm 2
@@ -196,8 +179,8 @@ pub fn enumerate_moves(topo: &Topology, banned: &[HostId]) -> Vec<Move> {
     // Demotions (each surviving peer as the receiving broker; bounded
     // below: never collapse the federation to a single point of failure).
     if brokers.len() > lo {
-        for &bkr in &brokers {
-            for &target in &brokers {
+        for &bkr in brokers {
+            for &target in brokers {
                 if bkr != target && !is_banned(target) {
                     out.push(Move::Demote { bkr, target });
                 }
@@ -207,7 +190,7 @@ pub fn enumerate_moves(topo: &Topology, banned: &[HostId]) -> Vec<Move> {
 
     // Cross-LEI reassignments.
     for &w in &workers {
-        for &bkr in &brokers {
+        for &bkr in brokers {
             if topo.broker_of(w) != bkr && !is_banned(bkr) {
                 out.push(Move::Reassign { w, bkr });
             }
@@ -225,7 +208,7 @@ pub fn apply_move(topo: &Topology, mv: Move) -> Option<Topology> {
     let ok = match mv {
         Move::Promote { w } => t.promote(w).is_ok(),
         Move::Demote { bkr, target } => {
-            for w in t.workers_of(bkr) {
+            for &w in topo.workers_of(bkr) {
                 // Failed reassignments are ignored, exactly like the
                 // original loop; the demotion below then decides.
                 let _ = t.reassign(w, target);

@@ -213,10 +213,7 @@ mod tests {
         move |t: &Topology| {
             let brokers = t.brokers();
             let count_term = (brokers.len() as f64 - target as f64).abs();
-            let sizes: Vec<f64> = brokers
-                .iter()
-                .map(|&b| t.workers_of(b).len() as f64)
-                .collect();
+            let sizes: Vec<f64> = brokers.iter().map(|&b| t.worker_count(b) as f64).collect();
             let mean = sizes.iter().sum::<f64>() / sizes.len().max(1) as f64;
             let imbalance: f64 = sizes.iter().map(|s| (s - mean).abs()).sum();
             count_term * 10.0 + imbalance

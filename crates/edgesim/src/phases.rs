@@ -278,7 +278,7 @@ fn organic_utilisation(ctx: &FailureScanCtx<'_>, h: HostId) -> (f64, f64, f64, f
     let mgmt_cpu = if is_broker {
         let queued = ctx.queued_pending[h] as f64;
         ctx.config.broker_base_overhead
-            + ctx.config.broker_per_worker_overhead * ctx.topology.workers_of(h).len() as f64
+            + ctx.config.broker_per_worker_overhead * ctx.topology.worker_count(h) as f64
             + (0.012 * queued).min(0.25)
     } else {
         0.0
@@ -415,6 +415,12 @@ pub fn schedule_dispatch(
     let live_view: Vec<&Task> = sim.live.iter().map(|&i| &sim.tasks[i]).collect();
     let decision = scheduler.schedule(&live_view, &sim.topology, &sim.config.specs, &fail_view);
     drop(live_view);
+    // LEI of a host for the network-latency model: its broker's rank,
+    // folded into the modelled LEI count.
+    let lei_of = |h: HostId| {
+        let rank = sim.topology.broker_rank(sim.topology.broker_of(h));
+        rank.expect("broker_of yields a broker") % sim.network.n_leis()
+    };
     for (task_id, host) in decision.iter() {
         if failures.failed_now[host] {
             continue; // stale decision against a dying host: skip
@@ -427,8 +433,8 @@ pub fn schedule_dispatch(
         }
         // Broker→worker dispatch transfer.
         let from = sim.topology.admitting_broker(sim.tasks[idx].admitted_by);
-        let lei_a = sim.lei_index_of(from);
-        let lei_b = sim.lei_index_of(host);
+        let lei_a = lei_of(from);
+        let lei_b = lei_of(host);
         let transfer = sim.network.transfer_s(
             lei_a,
             lei_b,
@@ -488,7 +494,7 @@ fn step_host(ctx: &HostStepCtx<'_>, h: usize) -> HostStepOutcome {
         // §I that makes loaded brokers fragile.
         let queued = ctx.queued_now[h] as f64;
         ctx.config.broker_base_overhead
-            + ctx.config.broker_per_worker_overhead * ctx.topology.workers_of(h).len() as f64
+            + ctx.config.broker_per_worker_overhead * ctx.topology.worker_count(h) as f64
             + (0.012 * queued).min(0.25)
     } else {
         0.0
@@ -545,11 +551,7 @@ fn step_host(ctx: &HostStepCtx<'_>, h: usize) -> HostStepOutcome {
     let span_eff = if is_broker {
         1.0
     } else {
-        let siblings = ctx
-            .topology
-            .workers_of(ctx.topology.broker_of(h))
-            .len()
-            .max(1);
+        let siblings = ctx.topology.worker_count(ctx.topology.broker_of(h)).max(1);
         (ctx.config.broker_span as f64 / siblings as f64).min(1.0)
     };
     let cap_frac = (1.0 - mgmt_cpu - fl.cpu).max(0.0);
@@ -683,10 +685,11 @@ pub fn execute(sim: &mut Simulator, failures: &FailureSet) -> ExecutionOutcome {
     // Broker-failure stalls.
     let mut stalled_host = vec![false; n];
     let mut broker_stall_s = 0.0;
-    for b in sim.topology.brokers() {
+    for &b in sim.topology.brokers() {
         if failures.failed_now[b] {
-            for member in sim.topology.lei(b) {
-                stalled_host[member] = true;
+            stalled_host[b] = true;
+            for &w in sim.topology.workers_of(b) {
+                stalled_host[w] = true;
             }
         }
     }
@@ -779,7 +782,8 @@ pub fn report(
     let failed_brokers: Vec<HostId> = sim
         .topology
         .brokers()
-        .into_iter()
+        .iter()
+        .copied()
         .filter(|&b| failures.failed_now[b])
         .collect();
     sim.last_failed_brokers = failed_brokers.clone();

@@ -96,12 +96,9 @@ fn ram_fits(
     task: &Task,
     specs: &[HostSpec],
     states: &[HostState],
-    extra_ram: &BTreeMap<HostId, f64>,
+    extra_ram: &[f64],
 ) -> bool {
-    states[host].ram
-        + extra_ram.get(&host).copied().unwrap_or(0.0)
-        + task.spec.ram_mb / specs[host].ram_mb
-        <= 0.95
+    states[host].ram + extra_ram[host] + task.spec.ram_mb / specs[host].ram_mb <= 0.95
 }
 
 /// Shared admission-point resolution: the task's admitting broker if it
@@ -119,7 +116,7 @@ fn admission_point(task: &Task, topology: &Topology, states: &[HostState]) -> Op
     {
         return Some(task.admitted_by);
     }
-    topology.brokers().into_iter().find(|&b| live(b))
+    topology.brokers().iter().copied().find(|&b| live(b))
 }
 
 /// Shared candidate set: the live workers of the admitting LEI — LEIs
@@ -128,7 +125,8 @@ fn admission_point(task: &Task, topology: &Topology, states: &[HostState]) -> Op
 fn lei_candidates(admit: HostId, topology: &Topology, states: &[HostState]) -> Vec<HostId> {
     let mut candidates: Vec<HostId> = topology
         .workers_of(admit)
-        .into_iter()
+        .iter()
+        .copied()
         .filter(|&w| !states[w].failed)
         .collect();
     if candidates.is_empty() {
@@ -159,11 +157,11 @@ impl LeastLoadScheduler {
         host: HostId,
         specs: &[HostSpec],
         states: &[HostState],
-        extra_tasks: &BTreeMap<HostId, f64>,
+        extra_tasks: &[f64],
     ) -> f64 {
         let spec = &specs[host];
         let st = &states[host];
-        let queued = extra_tasks.get(&host).copied().unwrap_or(0.0);
+        let queued = extra_tasks[host];
         let cpu_add = task.spec.cpu_work / (spec.cpu_capacity * crate::INTERVAL_SECONDS);
         let ram_add = task.spec.ram_mb / spec.ram_mb;
         st.load_score() + queued + 0.6 * cpu_add + 0.4 * ram_add
@@ -181,10 +179,10 @@ impl Scheduler for LeastLoadScheduler {
         let mut decision = SchedulingDecision::new();
         // Projected additional load per host from decisions made *this*
         // interval, so a burst of arrivals spreads out.
-        let mut extra: BTreeMap<HostId, f64> = BTreeMap::new();
+        let mut extra = vec![0.0; topology.len()];
         // Projected RAM per host for admission control (see `ram_fits`);
         // tasks that don't fit anywhere in the LEI queue at the broker.
-        let mut extra_ram: BTreeMap<HostId, f64> = BTreeMap::new();
+        let mut extra_ram = vec![0.0; topology.len()];
 
         for task in tasks
             .iter()
@@ -211,9 +209,8 @@ impl Scheduler for LeastLoadScheduler {
 
             let spec = &specs[best];
             let cpu_add = task.spec.cpu_work / (spec.cpu_capacity * crate::INTERVAL_SECONDS);
-            *extra.entry(best).or_insert(0.0) +=
-                0.6 * cpu_add + 0.4 * task.spec.ram_mb / spec.ram_mb;
-            *extra_ram.entry(best).or_insert(0.0) += task.spec.ram_mb / spec.ram_mb;
+            extra[best] += 0.6 * cpu_add + 0.4 * task.spec.ram_mb / spec.ram_mb;
+            extra_ram[best] += task.spec.ram_mb / spec.ram_mb;
             decision.assign(task.id, best);
         }
         decision
@@ -227,9 +224,9 @@ impl Scheduler for LeastLoadScheduler {
 /// how much of a policy's QoS is owed to the underlying scheduler.
 #[derive(Debug, Clone, Default)]
 pub struct RoundRobinScheduler {
-    /// Per-broker rotation cursor, persisted across intervals so the
+    /// Rotation cursor per broker host, persisted across intervals so the
     /// rotation does not restart at worker 0 every interval.
-    cursors: BTreeMap<HostId, usize>,
+    cursors: Vec<usize>,
 }
 
 impl RoundRobinScheduler {
@@ -248,7 +245,10 @@ impl Scheduler for RoundRobinScheduler {
         states: &[HostState],
     ) -> SchedulingDecision {
         let mut decision = SchedulingDecision::new();
-        let mut extra_ram: BTreeMap<HostId, f64> = BTreeMap::new();
+        let mut extra_ram = vec![0.0; topology.len()];
+        if self.cursors.len() < topology.len() {
+            self.cursors.resize(topology.len(), 0);
+        }
 
         for task in tasks
             .iter()
@@ -259,7 +259,7 @@ impl Scheduler for RoundRobinScheduler {
                 continue; // total outage: task stays pending
             };
             let ring = lei_candidates(admit, topology, states);
-            let cursor = self.cursors.entry(admit).or_insert(0);
+            let cursor = &mut self.cursors[admit];
             // Probe at most one full rotation for a host with RAM headroom.
             let placed = (0..ring.len()).find_map(|probe| {
                 let host = ring[(*cursor + probe) % ring.len()];
@@ -269,7 +269,7 @@ impl Scheduler for RoundRobinScheduler {
                 continue; // no memory anywhere in the LEI: queue at broker
             };
             *cursor = (*cursor + probe + 1) % ring.len();
-            *extra_ram.entry(host).or_insert(0.0) += task.spec.ram_mb / specs[host].ram_mb;
+            extra_ram[host] += task.spec.ram_mb / specs[host].ram_mb;
             decision.assign(task.id, host);
         }
         decision
@@ -335,7 +335,7 @@ mod tests {
     #[test]
     fn avoids_failed_workers() {
         let (topo, specs, mut states) = setup();
-        for w in topo.workers_of(0) {
+        for &w in topo.workers_of(0) {
             states[w].failed = true;
         }
         let mut sched = LeastLoadScheduler::new();
@@ -407,7 +407,7 @@ mod tests {
     #[test]
     fn round_robin_skips_failed_workers_and_falls_back_to_broker() {
         let (topo, specs, mut states) = setup();
-        for w in topo.workers_of(0) {
+        for &w in topo.workers_of(0) {
             states[w].failed = true;
         }
         let mut sched = RoundRobinScheduler::new();

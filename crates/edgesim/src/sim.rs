@@ -516,15 +516,6 @@ impl Simulator {
         }
         (running_by_host, queued_pending)
     }
-
-    /// LEI index of `host` for the network-latency model: position of its
-    /// broker in the sorted broker list, folded into the modelled LEI count.
-    pub(crate) fn lei_index_of(&self, host: HostId) -> usize {
-        let broker = self.topology.broker_of(host);
-        let brokers = self.topology.brokers();
-        let pos = brokers.iter().position(|&b| b == broker).unwrap_or(0);
-        pos % self.network.n_leis()
-    }
 }
 
 #[cfg(test)]

@@ -9,6 +9,8 @@
 use crate::host::HostId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::OnceLock;
 
 /// Role of a host within the federation topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -62,9 +64,26 @@ impl std::error::Error for TopologyError {}
 
 /// Broker–worker topology over `n` hosts.
 ///
-/// Invariants (checked by [`Topology::validate`] and preserved by every
+/// Invariants (checked by [`Topology::validate`], enforced by
+/// [`Topology::new`] and by deserialization, and preserved by every
 /// mutating method): at least one broker exists, and every worker points at
 /// a host whose role is `Broker`.
+///
+/// # Index
+///
+/// `roles` is the whole state. Next to it sits a derived index — the
+/// ascending broker list, each broker's rank in that list, and each
+/// broker's workers in ascending order — built lazily, once per distinct
+/// topology, on the first query that needs it. [`Topology::promote`],
+/// [`Topology::demote`] and [`Topology::reassign`] only reset it, so a
+/// mutation never rescans the hosts; the next query pays one O(n)
+/// rebuild. The queries are then O(1) or return borrowed slices:
+/// [`Topology::brokers`], [`Topology::workers_of`],
+/// [`Topology::worker_count`] and [`Topology::broker_rank`].
+///
+/// Equality, hashing, serialization and [`Topology::signature`] are
+/// defined over `roles` alone: a topology whose index is built equals, and
+/// hashes like, a clone whose index is not.
 ///
 /// # Examples
 ///
@@ -72,21 +91,128 @@ impl std::error::Error for TopologyError {}
 /// use edgesim::Topology;
 /// // 8 hosts, 2 LEIs of 1 broker + 3 workers each.
 /// let topo = Topology::balanced(8, 2).unwrap();
-/// assert_eq!(topo.brokers().len(), 2);
-/// assert_eq!(topo.workers_of(topo.brokers()[0]).len(), 3);
+/// assert_eq!(topo.brokers(), &[0, 1]);
+/// assert_eq!(topo.workers_of(0), &[2, 4, 6]);
+/// assert_eq!(topo.worker_count(1), 3);
+/// assert_eq!(topo.broker_rank(1), Some(1));
 /// topo.validate().unwrap();
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct Topology {
     roles: Vec<NodeRole>,
+    #[serde(skip)]
+    index: IndexCell,
+}
+
+/// Lookup tables derived from `roles`, in CSR layout: the workers of
+/// `brokers[r]` are `members[offsets[r]..offsets[r + 1]]`, ascending.
+#[derive(Clone)]
+struct Index {
+    /// Broker hosts, ascending.
+    brokers: Vec<HostId>,
+    /// Per host: the rank of its broker (itself, for a broker) in
+    /// `brokers`.
+    rank: Vec<usize>,
+    /// `brokers.len() + 1` offsets into `members`.
+    offsets: Vec<usize>,
+    /// Workers grouped by broker rank, ascending within each group.
+    members: Vec<HostId>,
+}
+
+impl Index {
+    /// Counting sort of the workers by broker rank: O(n), stable, so each
+    /// group comes out ascending.
+    fn build(roles: &[NodeRole]) -> Self {
+        let mut brokers = Vec::new();
+        let mut rank = vec![0; roles.len()];
+        for (h, role) in roles.iter().enumerate() {
+            if matches!(role, NodeRole::Broker) {
+                rank[h] = brokers.len();
+                brokers.push(h);
+            }
+        }
+        let mut offsets = vec![0; brokers.len() + 1];
+        for (h, role) in roles.iter().enumerate() {
+            if let NodeRole::Worker { broker } = *role {
+                rank[h] = rank[broker];
+                offsets[rank[h] + 1] += 1;
+            }
+        }
+        for r in 0..brokers.len() {
+            offsets[r + 1] += offsets[r];
+        }
+        let mut next = offsets.clone();
+        let mut members = vec![0; roles.len() - brokers.len()];
+        for (h, role) in roles.iter().enumerate() {
+            if matches!(role, NodeRole::Worker { .. }) {
+                members[next[rank[h]]] = h;
+                next[rank[h]] += 1;
+            }
+        }
+        Self {
+            brokers,
+            rank,
+            offsets,
+            members,
+        }
+    }
+}
+
+/// The lazily built [`Index`]. It is a pure function of `roles`, so it
+/// compares equal and hashes to nothing: `Topology`'s derived `Eq` and
+/// `Hash` see `roles` only.
+#[derive(Clone, Default)]
+struct IndexCell(OnceLock<Index>);
+
+impl PartialEq for IndexCell {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for IndexCell {}
+
+impl Hash for IndexCell {
+    fn hash<H: Hasher>(&self, _: &mut H) {}
+}
+
+impl fmt::Debug for Topology {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Topology")
+            .field("roles", &self.roles)
+            .finish()
+    }
+}
+
+/// Deserializes through [`Topology::new`], so damaged input (no broker, a
+/// dangling or out-of-range broker id) is a typed error, never a topology
+/// that breaks the index invariant.
+impl Deserialize for Topology {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let roles = match v {
+            serde::Value::Map(_) => v
+                .get("roles")
+                .ok_or_else(|| serde::Error("missing field `roles` in Topology".into()))?,
+            other => return Err(serde::Error::expected("struct Topology", other)),
+        };
+        Topology::new(Vec::<NodeRole>::from_value(roles)?)
+            .map_err(|e| serde::Error(format!("invalid topology: {e}")))
+    }
 }
 
 impl Topology {
     /// Builds a topology from explicit roles, validating invariants.
     pub fn new(roles: Vec<NodeRole>) -> Result<Self, TopologyError> {
-        let t = Self { roles };
+        let t = Self::from_roles(roles);
         t.validate()?;
         Ok(t)
+    }
+
+    fn from_roles(roles: Vec<NodeRole>) -> Self {
+        Self {
+            roles,
+            index: IndexCell::default(),
+        }
     }
 
     /// Evenly partitions `n_hosts` into `n_brokers` LEIs: host `i` of each
@@ -104,7 +230,16 @@ impl Topology {
                 broker: w % n_brokers,
             };
         }
-        Ok(Self { roles })
+        Ok(Self::from_roles(roles))
+    }
+
+    fn index(&self) -> &Index {
+        self.index.0.get_or_init(|| Index::build(&self.roles))
+    }
+
+    /// Drops the index after a role change; the next query rebuilds it.
+    fn invalidate(&mut self) {
+        self.index = IndexCell::default();
     }
 
     /// Number of hosts (brokers + workers).
@@ -132,15 +267,12 @@ impl Topology {
     }
 
     /// Hosts currently acting as brokers, ascending.
-    pub fn brokers(&self) -> Vec<HostId> {
-        self.roles
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| matches!(r, NodeRole::Broker).then_some(i))
-            .collect()
+    pub fn brokers(&self) -> &[HostId] {
+        &self.index().brokers
     }
 
-    /// Hosts currently acting as workers, ascending.
+    /// Hosts currently acting as workers, ascending. O(n): the answer has
+    /// one entry per worker.
     pub fn workers(&self) -> Vec<HostId> {
         self.roles
             .iter()
@@ -149,22 +281,34 @@ impl Topology {
             .collect()
     }
 
-    /// Workers managed by `broker` (empty if `broker` is not a broker).
-    pub fn workers_of(&self, broker: HostId) -> Vec<HostId> {
-        self.roles
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| match r {
-                NodeRole::Worker { broker: b } if *b == broker => Some(i),
-                _ => None,
-            })
-            .collect()
+    /// Workers managed by `broker`, ascending (empty if `broker` is not a
+    /// broker or out of range).
+    pub fn workers_of(&self, broker: HostId) -> &[HostId] {
+        match self.broker_rank(broker) {
+            Some(r) => {
+                let index = self.index();
+                &index.members[index.offsets[r]..index.offsets[r + 1]]
+            }
+            None => &[],
+        }
+    }
+
+    /// Number of workers managed by `broker` (0 for a worker or an
+    /// out-of-range id).
+    pub fn worker_count(&self, broker: HostId) -> usize {
+        self.workers_of(broker).len()
+    }
+
+    /// Position of `broker` in [`Topology::brokers`], or `None` if it is
+    /// not a broker (or out of range).
+    pub fn broker_rank(&self, broker: HostId) -> Option<usize> {
+        matches!(self.roles.get(broker), Some(NodeRole::Broker)).then(|| self.index().rank[broker])
     }
 
     /// The LEI of `broker`: the broker itself plus its workers.
     pub fn lei(&self, broker: HostId) -> Vec<HostId> {
         let mut nodes = vec![broker];
-        nodes.extend(self.workers_of(broker));
+        nodes.extend_from_slice(self.workers_of(broker));
         nodes
     }
 
@@ -223,15 +367,22 @@ impl Topology {
         match self.roles[w] {
             NodeRole::Worker { .. } => {
                 self.roles[w] = NodeRole::Broker;
+                self.invalidate();
                 Ok(())
             }
             NodeRole::Broker => Err(TopologyError::WrongRole(w)),
         }
     }
 
-    /// Demotes broker `b` to a worker under `new_broker`. Fails if `b`
-    /// still manages workers (reassign them first) or if `new_broker` is
-    /// not a broker distinct from `b`.
+    /// Demotes broker `b` to a worker under `new_broker`. Fails with
+    /// `WouldOrphanWorkers(b)` if `b` still manages workers (reassign them
+    /// first), and with `WrongRole(new_broker)` if `new_broker` is not a
+    /// broker distinct from `b`. A sole broker therefore always gets
+    /// `WrongRole(new_broker)`: no distinct broker exists to receive it.
+    /// The `NoBrokers` guard behind those checks is defensive.
+    ///
+    /// The guards read the index, so a demote that follows other
+    /// mutations pays that one lazy rebuild.
     pub fn demote(&mut self, b: HostId, new_broker: HostId) -> Result<(), TopologyError> {
         if b >= self.roles.len() {
             return Err(TopologyError::UnknownHost(b));
@@ -245,13 +396,14 @@ impl Topology {
         if b == new_broker || !matches!(self.roles[new_broker], NodeRole::Broker) {
             return Err(TopologyError::WrongRole(new_broker));
         }
-        if !self.workers_of(b).is_empty() {
+        if self.worker_count(b) != 0 {
             return Err(TopologyError::WouldOrphanWorkers(b));
         }
         if self.brokers().len() == 1 {
             return Err(TopologyError::NoBrokers);
         }
         self.roles[b] = NodeRole::Worker { broker: new_broker };
+        self.invalidate();
         Ok(())
     }
 
@@ -270,31 +422,29 @@ impl Topology {
             return Err(TopologyError::WrongRole(new_broker));
         }
         self.roles[w] = NodeRole::Worker { broker: new_broker };
+        self.invalidate();
         Ok(())
     }
 
     /// Undirected adjacency lists of the federation graph used by the GAT
     /// encoder: every worker links to its broker; brokers form a full
-    /// mesh; each node carries a self-loop (§IV-A).
+    /// mesh; each node carries a self-loop (§IV-A). A broker's list is
+    /// itself, the other brokers ascending, then its workers ascending.
     pub fn gat_neighbors(&self) -> Vec<Vec<usize>> {
         let brokers = self.brokers();
-        let mut adj: Vec<Vec<usize>> = (0..self.roles.len()).map(|i| vec![i]).collect();
-        for (i, role) in self.roles.iter().enumerate() {
-            match role {
+        (0..self.roles.len())
+            .map(|i| match self.roles[i] {
                 NodeRole::Broker => {
-                    for &b in &brokers {
-                        if b != i {
-                            adj[i].push(b);
-                        }
-                    }
-                    for w in self.workers_of(i) {
-                        adj[i].push(w);
-                    }
+                    let workers = self.workers_of(i);
+                    let mut adj = Vec::with_capacity(brokers.len() + workers.len());
+                    adj.push(i);
+                    adj.extend(brokers.iter().copied().filter(|&b| b != i));
+                    adj.extend_from_slice(workers);
+                    adj
                 }
-                NodeRole::Worker { broker } => adj[i].push(*broker),
-            }
-        }
-        adj
+                NodeRole::Worker { broker } => vec![i, broker],
+            })
+            .collect()
     }
 
     /// Canonical signature for tabu-list membership and hashing: worker
@@ -313,14 +463,97 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::hash_map::DefaultHasher;
+
+    // --- O(n) scans over `roles()`: the oracle the index is checked against.
+
+    fn scan_brokers(t: &Topology) -> Vec<HostId> {
+        (0..t.len())
+            .filter(|&h| matches!(t.roles()[h], NodeRole::Broker))
+            .collect()
+    }
+
+    fn scan_workers_of(t: &Topology, b: HostId) -> Vec<HostId> {
+        (0..t.len())
+            .filter(|&h| t.roles()[h] == NodeRole::Worker { broker: b })
+            .collect()
+    }
+
+    fn scan_broker_rank(t: &Topology, b: HostId) -> Option<usize> {
+        scan_brokers(t).iter().position(|&x| x == b)
+    }
+
+    fn scan_gat_neighbors(t: &Topology) -> Vec<Vec<usize>> {
+        let brokers = scan_brokers(t);
+        (0..t.len())
+            .map(|i| match t.role(i) {
+                NodeRole::Broker => std::iter::once(i)
+                    .chain(brokers.iter().copied().filter(|&b| b != i))
+                    .chain(scan_workers_of(t, i))
+                    .collect(),
+                NodeRole::Worker { broker } => vec![i, broker],
+            })
+            .collect()
+    }
+
+    fn hash_of(t: &Topology) -> u64 {
+        let mut h = DefaultHasher::new();
+        t.hash(&mut h);
+        h.finish()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random valid promote/demote/reassign sequences keep every
+        /// indexed query equal to its scan over `roles()`.
+        #[test]
+        fn index_matches_role_scans(
+            n_hosts in 2usize..40,
+            n_brokers in 1usize..8,
+            ops in proptest::collection::vec(0usize..1 << 20, 0..40),
+        ) {
+            prop_assume!(n_brokers <= n_hosts);
+            let mut t = Topology::balanced(n_hosts, n_brokers).unwrap();
+            for op in ops {
+                // One draw encodes the move kind and both operands.
+                let host = (op / 3) % n_hosts;
+                let target = (op / 3 / n_hosts) % n_hosts;
+                let _ = match op % 3 {
+                    0 => t.promote(host),
+                    1 => {
+                        for w in t.workers_of(host).to_vec() {
+                            t.reassign(w, target).ok();
+                        }
+                        t.demote(host, target)
+                    }
+                    _ => t.reassign(host, target),
+                };
+                t.validate().unwrap();
+                let unindexed = Topology::from_roles(t.roles().to_vec());
+                prop_assert_eq!(t.brokers().to_vec(), scan_brokers(&t));
+                for h in 0..n_hosts + 1 {
+                    let workers = scan_workers_of(&t, h);
+                    prop_assert_eq!(t.worker_count(h), workers.len());
+                    prop_assert_eq!(t.workers_of(h).to_vec(), workers);
+                    prop_assert_eq!(t.broker_rank(h), scan_broker_rank(&t, h));
+                }
+                prop_assert_eq!(t.gat_neighbors(), scan_gat_neighbors(&t));
+                prop_assert!(t.index.0.get().is_some() && unindexed.index.0.get().is_none());
+                prop_assert!(t == unindexed);
+                prop_assert_eq!(hash_of(&t), hash_of(&unindexed));
+            }
+        }
+    }
 
     #[test]
     fn balanced_topology_matches_testbed() {
         let t = Topology::balanced(16, 4).unwrap();
-        assert_eq!(t.brokers(), vec![0, 1, 2, 3]);
+        assert_eq!(t.brokers(), &[0, 1, 2, 3]);
         assert_eq!(t.workers().len(), 12);
-        for b in t.brokers() {
-            assert_eq!(t.workers_of(b).len(), 3);
+        for &b in t.brokers() {
+            assert_eq!(t.worker_count(b), 3);
             assert_eq!(t.lei(b).len(), 4);
         }
     }
@@ -376,17 +609,17 @@ mod tests {
             TopologyError::WouldOrphanWorkers(0)
         );
         // Move 0's workers to 1, then demote works.
-        for w in t.workers_of(0) {
+        for w in t.workers_of(0).to_vec() {
             t.reassign(w, 1).unwrap();
         }
         t.demote(0, 1).unwrap();
         t.validate().unwrap();
-        assert_eq!(t.brokers(), vec![1]);
-        // Demoting the last broker must fail.
-        for w in t.workers_of(1) {
-            let _ = w; // broker 1 has workers; also single-broker guard fires first
-        }
-        assert!(t.demote(1, 1).is_err());
+        assert_eq!(t.brokers(), &[1]);
+        // The sole broker has no distinct broker to demote under, so every
+        // target is the wrong role — itself included.
+        assert_eq!(t.demote(1, 1).unwrap_err(), TopologyError::WrongRole(1));
+        assert_eq!(t.demote(1, 0).unwrap_err(), TopologyError::WrongRole(0));
+        assert_eq!(t.brokers(), &[1]);
     }
 
     #[test]
@@ -448,5 +681,47 @@ mod tests {
         let json = serde_json::to_string(&t).unwrap();
         let back: Topology = serde_json::from_str(&json).unwrap();
         assert_eq!(t, back);
+    }
+
+    #[test]
+    fn serde_round_trip_rebuilds_the_same_index() {
+        let mut t = Topology::balanced(12, 3).unwrap();
+        t.promote(5).unwrap();
+        t.reassign(8, 5).unwrap();
+        let json = serde_json::to_string(&t).unwrap();
+        assert!(
+            !json.contains("index"),
+            "the index is not serialized: {json}"
+        );
+        let back: Topology = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.brokers(), t.brokers());
+        for h in 0..t.len() {
+            assert_eq!(back.workers_of(h), t.workers_of(h));
+            assert_eq!(back.broker_rank(h), t.broker_rank(h));
+        }
+        assert_eq!(back.gat_neighbors(), t.gat_neighbors());
+    }
+
+    #[test]
+    fn corrupted_topology_json_is_a_typed_error() {
+        let json = serde_json::to_string(&Topology::balanced(4, 2).unwrap()).unwrap();
+        let to_worker = r#"{"Worker":{"broker":0}}"#;
+        assert!(json.contains(to_worker), "{json}");
+        let invalid = [
+            // Host 2 now reports to host 3, a worker: dangling.
+            json.replacen(to_worker, r#"{"Worker":{"broker":3}}"#, 1),
+            // Out-of-range broker id.
+            json.replacen(to_worker, r#"{"Worker":{"broker":99}}"#, 1),
+            // No broker at all.
+            r#"{"roles":[{"Worker":{"broker":0}}]}"#.to_string(),
+        ];
+        for bad in &invalid {
+            let err = serde_json::from_str::<Topology>(bad)
+                .expect_err(&format!("damaged topology accepted: {bad}"));
+            assert!(err.to_string().contains("invalid topology"), "{err}");
+        }
+        for bad in [r#"{"roles":7}"#, "{}", "[]"] {
+            assert!(serde_json::from_str::<Topology>(bad).is_err(), "{bad}");
+        }
     }
 }

@@ -316,14 +316,22 @@ impl FaultInjector {
         let n_faults = workloads::poisson(self.rate, &mut self.rng);
         let mut events = Vec::with_capacity(n_faults);
         for _ in 0..n_faults {
-            let candidates: Vec<HostId> = match self.target {
-                TargetPolicy::BrokersOnly => sim.topology().brokers(),
-                TargetPolicy::AnyHost => (0..sim.specs().len()).collect(),
+            let host = match self.target {
+                TargetPolicy::BrokersOnly => {
+                    let brokers = sim.topology().brokers();
+                    if brokers.is_empty() {
+                        break;
+                    }
+                    brokers[self.rng.gen_range(0..brokers.len())]
+                }
+                TargetPolicy::AnyHost => {
+                    let n = sim.specs().len();
+                    if n == 0 {
+                        break;
+                    }
+                    self.rng.gen_range(0..n)
+                }
             };
-            if candidates.is_empty() {
-                break;
-            }
-            let host = candidates[self.rng.gen_range(0..candidates.len())];
             let kind = FaultKind::ALL[self.rng.gen_range(0..FaultKind::ALL.len())];
             sim.inject_fault(host, kind.load_scaled(&mut self.rng));
             events.push(FaultEvent {

@@ -3,12 +3,12 @@
 use crate::nodeshift::random_shift;
 use crate::policy::{ObserveOutcome, ResiliencePolicy};
 use crate::pot::PotDetector;
-use crate::tabu::{self, TabuConfig};
+use crate::tabu::{self, BatchObjective, TabuConfig};
 use edgesim::state::SystemState;
 use edgesim::{HostId, IntervalReport, NodeRole, SimConfig, Simulator, Topology};
 use gon::surrogates::{FeedForwardSurrogate, GanSurrogate};
 use gon::{train_offline, GonCheckpoint, GonConfig, GonModel, TrainConfig};
-use nn::Adam;
+use nn::{Adam, GatReference};
 use par::EngineConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -377,13 +377,22 @@ impl Carol {
     /// 2048-row activation block per layer).
     const SCORE_BATCH: usize = 16;
 
-    /// Batched surrogate objective Ω(G) over a candidate neighbourhood —
-    /// the engine behind every tabu iteration.
+    /// Batched surrogate objective Ω(G) over a candidate neighbourhood:
+    /// a one-call [`Carol::batch_objective`]. Bit-identical to calling
+    /// [`Carol::objective_public`] per candidate, at any thread count.
+    pub fn objective_batch(&mut self, base: &SystemState, candidates: &[Topology]) -> Vec<f64> {
+        self.batch_objective(base).score_batch(candidates)
+    }
+
+    /// The engine behind every tabu iteration: scores `candidates`
+    /// against `base`, the GON's graph branch embedded against
+    /// `reference` (required for the batched GON engine).
     ///
     /// Candidates are chunked into fixed-size batches, each batch runs as
     /// one stacked network forward (and, for the GON, one batched eq.-1
     /// ascent), and the chunks fan out over [`par::par_map_threads`]
-    /// worker threads that each score on their own model replica. Chunk
+    /// worker threads that each score on their own model replica and
+    /// share the reference read-only. Chunk
     /// boundaries are a pure function of the candidate list, results are
     /// written to input-index slots, and the modeled decision-time costs
     /// are charged in candidate order afterwards — so the returned scores
@@ -391,8 +400,12 @@ impl Carol {
     /// serial [`Carol::objective_public`] per candidate, at any thread
     /// count. With `batch_eval` off this simply runs the serial reference
     /// path.
-    pub fn objective_batch(&mut self, base: &SystemState, candidates: &[Topology]) -> Vec<f64> {
-        self.install_pending_tune();
+    fn score_candidates(
+        &mut self,
+        base: &SystemState,
+        reference: Option<&GatReference>,
+        candidates: &[Topology],
+    ) -> Vec<f64> {
         let engine = self.config.engine();
         if !engine.batched {
             return candidates.iter().map(|t| self.objective(base, t)).collect();
@@ -410,19 +423,19 @@ impl Carol {
         let scored: Vec<Vec<(f64, f64)>> = match self.config.variant {
             CarolVariant::Gon => {
                 let gon = &self.gon;
+                let reference = reference.expect("the batched GON engine needs a GAT reference");
                 let depth_factor = self.config.gon.head_layers.max(1) as f64 / 3.0;
                 par::par_map_threads(threads, &chunks, |chunk| {
                     let mut model = gon.clone();
                     let probes: Vec<SystemState> =
                         chunk.iter().map(|t| base.with_topology(t)).collect();
-                    let generated = model.generate_batch(&probes);
-                    probes
-                        .iter()
-                        .zip(generated)
-                        .map(|(probe, gen)| {
-                            let mut refined = probe.clone();
-                            refined.set_metrics_flat(&gen.metrics_flat);
-                            let (qe, qs) = refined.qos_components();
+                    model
+                        .generate_batch_against(&probes, reference)
+                        .into_iter()
+                        .map(|gen| {
+                            // The serial path's `qos_components` of the
+                            // refined probe, read straight off `M*`.
+                            let (qe, qs) = SystemState::qos_components_flat(&gen.metrics_flat);
                             // 0.08 ms per ascent iteration at the
                             // reference depth, as in the serial path.
                             let cost = 8.0e-5 * depth_factor * gen.iterations as f64;
@@ -472,8 +485,21 @@ impl Carol {
     /// candidates against `base`. This is what the repair path hands to
     /// [`tabu::search`]; extensions like
     /// [`crate::proactive::ProactiveCarol`] use it the same way.
+    ///
+    /// For the batched GON engine this builds the GAT reference of `base`
+    /// once ([`GonModel::gat_reference`]); every candidate scored through
+    /// the view is then embedded against it.
     pub fn batch_objective<'a>(&'a mut self, base: &'a SystemState) -> CarolObjective<'a> {
-        CarolObjective { carol: self, base }
+        // Install first: the reference must see the weights that score.
+        self.install_pending_tune();
+        let batched_gon =
+            self.config.batch_eval && matches!(self.config.variant, CarolVariant::Gon);
+        let reference = batched_gon.then(|| self.gon.gat_reference(base));
+        CarolObjective {
+            carol: self,
+            base,
+            reference,
+        }
     }
 
     /// Freezes the full controller state — config, GON weights (via
@@ -629,16 +655,19 @@ impl std::fmt::Display for CarolCheckpointError {
 impl std::error::Error for CarolCheckpointError {}
 
 /// Borrowed view of a [`Carol`] as a batched tabu objective: candidates
-/// are scored against a fixed `base` snapshot through
-/// [`Carol::objective_batch`].
+/// are scored against a fixed `base` snapshot. Built by
+/// [`Carol::batch_objective`], one per tabu search.
 pub struct CarolObjective<'a> {
     carol: &'a mut Carol,
     base: &'a SystemState,
+    /// GAT reference of `base` (batched GON engine only).
+    reference: Option<GatReference>,
 }
 
 impl tabu::BatchObjective for CarolObjective<'_> {
     fn score_batch(&mut self, candidates: &[Topology]) -> Vec<f64> {
-        self.carol.objective_batch(self.base, candidates)
+        self.carol
+            .score_candidates(self.base, self.reference.as_ref(), candidates)
     }
 }
 
@@ -677,9 +706,8 @@ impl ResiliencePolicy for Carol {
             // … line 8: tabu search over Ω(G; D, S, O), each iteration
             // scoring the whole neighbourhood through the batched
             // surrogate engine.
-            let base = snapshot.clone();
             let tabu_cfg = self.config.tabu.clone();
-            let result = tabu::search(topo, &banned, &tabu_cfg, self.batch_objective(&base));
+            let result = tabu::search(topo, &banned, &tabu_cfg, self.batch_objective(snapshot));
             self.last_repair_score = Some(result.best_score);
             topo = result.best;
         }
@@ -947,6 +975,73 @@ mod tests {
                     "{variant:?}/{label}: modeled decision time diverged"
                 );
             }
+        }
+    }
+
+    /// The repair search's shape at scale: 64 hosts, a `random_shift`
+    /// start, then sampled neighbourhoods two moves deep, so candidates
+    /// differ from `base` in several LEIs and the batched GON engine
+    /// recomputes GAT rows in several places against its reference. It
+    /// must still match the serial full-forward path bit for bit.
+    #[test]
+    fn objective_batch_matches_serial_on_multi_move_candidates_at_64_hosts() {
+        let mk = |threads: usize| {
+            Carol::pretrained(
+                CarolConfig {
+                    eval_threads: Some(threads),
+                    ..CarolConfig::fast_test()
+                },
+                10,
+            )
+        };
+        let mut serial = mk(1);
+        let mut batched_1 = mk(1);
+        let mut batched_4 = mk(4);
+
+        let mut sim = Simulator::new(SimConfig::small(64, 8, 10));
+        let mut sched = LeastLoadScheduler::new();
+        let report = sim.step(Vec::new(), &mut sched);
+        let base = capture(&sim, &report.decision);
+        let mut rng = StdRng::seed_from_u64(10);
+        let broker = sim.topology().brokers()[0];
+        let start = random_shift(sim.topology(), broker, &[], &mut rng);
+        let mut candidates = crate::nodeshift::mutations_sampled(&start, &[], 24, &mut rng);
+        let deeper = candidates[candidates.len() / 2].clone();
+        candidates.extend(crate::nodeshift::mutations_sampled(
+            &deeper,
+            &[],
+            24,
+            &mut rng,
+        ));
+        let moved = |t: &Topology| {
+            (0..t.len())
+                .filter(|&h| t.role(h) != base.topology.role(h))
+                .count()
+        };
+        assert!(
+            candidates.iter().any(|t| moved(t) >= 2),
+            "need candidates several moves from base"
+        );
+
+        let want: Vec<f64> = candidates
+            .iter()
+            .map(|t| serial.objective_public(&base, t))
+            .collect();
+        for (label, policy) in [("1 thread", &mut batched_1), ("4 threads", &mut batched_4)] {
+            let got = policy.objective_batch(&base, &candidates);
+            for (i, (a, b)) in want.iter().zip(&got).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{label}: candidate {i} diverged ({a} vs {b})"
+                );
+            }
+            assert_eq!(policy.surrogate_queries, serial.surrogate_queries);
+            assert_eq!(
+                policy.modeled_decision_s.to_bits(),
+                serial.modeled_decision_s.to_bits(),
+                "{label}: modeled decision time diverged"
+            );
         }
     }
 

@@ -4,7 +4,7 @@ use edgesim::state::{SystemState, GRAPH_DIM, METRIC_DIM, SCHED_DIM};
 use nn::init::Initializer;
 use nn::kernel;
 use nn::layer::{Activation, Dense, Layer, Param, Sequential};
-use nn::{GraphAttention, Matrix};
+use nn::{GatReference, GraphAttention, Matrix};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -92,11 +92,6 @@ pub struct Generated {
     /// Iterations the ascent took.
     pub iterations: usize,
 }
-
-/// A candidate batch stacked for the network: `[M | S]` rows, graph rows,
-/// offset adjacency (the disjoint union of the candidate graphs), and the
-/// `(row offset, host count)` segment of each candidate.
-type StackedBatch = (Matrix, Matrix, Vec<Vec<usize>>, Vec<(usize, usize)>);
 
 /// The composite discriminator of Fig. 3.
 ///
@@ -285,7 +280,7 @@ impl GonModel {
         // branch runs once per query instead of once per ascent step, and
         // the input-only backward skips the parameter-gradient work the
         // old per-step `zero_grad` + full backward paid.
-        self.generate_batch_impl(std::slice::from_ref(state), preserve_grads)
+        self.generate_batch_impl(std::slice::from_ref(state), None, preserve_grads)
             .pop()
             .expect("one candidate in, one result out")
     }
@@ -296,9 +291,7 @@ impl GonModel {
     /// `(objective, confidence)`; lower objective is better.
     pub fn predict_qos(&mut self, state: &SystemState, alpha: f64, beta: f64) -> (f64, f64) {
         let generated = self.generate(state);
-        let mut probe = state.clone();
-        probe.set_metrics_flat(&generated.metrics_flat);
-        let (q_energy, q_slo) = probe.qos_components();
+        let (q_energy, q_slo) = SystemState::qos_components_flat(&generated.metrics_flat);
         (alpha * q_energy + beta * q_slo, generated.confidence)
     }
 
@@ -314,27 +307,82 @@ impl GonModel {
     // serial sibling over the batch — `tests/properties.rs` and the
     // determinism suite gate that contract.
 
-    /// Stacks per-host rows of all states into `(ms_input, graph_input,
-    /// offset neighbour lists, (offset, n_hosts) per state)`.
-    fn stacked_inputs(states: &[&SystemState]) -> StackedBatch {
+    /// The `(row offset, n_hosts)` segment of each state in the stacked
+    /// row layout of [`GonModel::stacked_ms`] and
+    /// [`GonModel::stacked_graph`].
+    fn segments(states: &[&SystemState]) -> Vec<(usize, usize)> {
+        let mut offset = 0;
+        states
+            .iter()
+            .map(|s| {
+                let segment = (offset, s.n_hosts());
+                offset += s.n_hosts();
+                segment
+            })
+            .collect()
+    }
+
+    /// Stacks the `[M | S]` rows of all states into one matrix.
+    fn stacked_ms(states: &[&SystemState]) -> Matrix {
         let total: usize = states.iter().map(|s| s.n_hosts()).sum();
         let mut x = Matrix::zeros(total, METRIC_DIM + SCHED_DIM);
-        let mut g = Matrix::zeros(total, GRAPH_DIM);
-        let mut neighbors = Vec::with_capacity(total);
-        let mut segments = Vec::with_capacity(states.len());
         let mut offset = 0;
         for s in states {
-            let n = s.n_hosts();
-            for h in 0..n {
+            for h in 0..s.n_hosts() {
                 x.row_mut(offset + h)[..METRIC_DIM].copy_from_slice(&s.metrics[h]);
                 x.row_mut(offset + h)[METRIC_DIM..].copy_from_slice(&s.schedule[h]);
+            }
+            offset += s.n_hosts();
+        }
+        x
+    }
+
+    /// Stacks the graph rows of all states, with neighbour indices offset
+    /// per state: the disjoint union of the state graphs.
+    fn stacked_graph(states: &[&SystemState]) -> (Matrix, Vec<Vec<usize>>) {
+        let total: usize = states.iter().map(|s| s.n_hosts()).sum();
+        let mut g = Matrix::zeros(total, GRAPH_DIM);
+        let mut neighbors = Vec::with_capacity(total);
+        let mut offset = 0;
+        for s in states {
+            for h in 0..s.n_hosts() {
                 g.row_mut(offset + h).copy_from_slice(&s.graph_features[h]);
                 neighbors.push(s.neighbors[h].iter().map(|&j| j + offset).collect());
             }
-            segments.push((offset, n));
-            offset += n;
+            offset += s.n_hosts();
         }
-        (x, g, neighbors, segments)
+        (g, neighbors)
+    }
+
+    /// Pooled GAT embeddings (`B × gat_dim`) of a batch: from one forward
+    /// over the stacked disjoint union, or — given a reference — one
+    /// incremental [`GraphAttention::pooled_embedding`] per state. Both
+    /// are bitwise equal.
+    fn graph_embeddings(
+        &mut self,
+        states: &[&SystemState],
+        segments: &[(usize, usize)],
+        reference: Option<&GatReference>,
+    ) -> Matrix {
+        match reference {
+            Some(reference) => {
+                let mut e_g = Matrix::zeros(states.len(), self.config.gat_dim);
+                for (i, s) in states.iter().enumerate() {
+                    self.gat.pooled_embedding(
+                        reference,
+                        &Self::graph_input(s),
+                        &s.neighbors,
+                        e_g.row_mut(i),
+                    );
+                }
+                e_g
+            }
+            None => {
+                let (gfeat, neighbors) = Self::stacked_graph(states);
+                let eg = self.gat.forward(&gfeat, &neighbors); // [Σn × gat_dim]
+                Self::pool_segments(&eg, segments)
+            }
+        }
     }
 
     /// Per-segment mean-pool, mirroring the serial
@@ -356,11 +404,11 @@ impl GonModel {
     /// Batched forward over state refs; returns the `B × 1` score column
     /// and the row segments (needed by the batched backward).
     fn forward_batch_internal(&mut self, states: &[&SystemState]) -> (Matrix, Vec<(usize, usize)>) {
-        let (x, gfeat, neighbors, segments) = Self::stacked_inputs(states);
+        let x = Self::stacked_ms(states);
+        let segments = Self::segments(states);
         let e = self.ms_encoder.forward(&x); // [Σn × hidden]
         let e_ms = Self::pool_segments(&e, &segments); // [B × hidden]
-        let eg = self.gat.forward(&gfeat, &neighbors); // [Σn × gat_dim]
-        let e_g = Self::pool_segments(&eg, &segments);
+        let e_g = self.graph_embeddings(states, &segments, None);
         let z = self.head.forward(&e_ms.hcat(&e_g)); // [B × 1]
         (z, segments)
     }
@@ -424,7 +472,28 @@ impl GonModel {
     /// candidate; and the stacked `[M | S]` input is built once, with
     /// only the metric columns rewritten between steps.
     pub fn generate_batch(&mut self, states: &[SystemState]) -> Vec<Generated> {
-        self.generate_batch_impl(states, false)
+        self.generate_batch_impl(states, None, false)
+    }
+
+    /// The GAT reference of `state` (see [`GatReference`]) under the
+    /// current weights, for [`GonModel::generate_batch_against`]. Stale
+    /// once the weights change.
+    pub fn gat_reference(&self, state: &SystemState) -> GatReference {
+        self.gat
+            .reference(&Self::graph_input(state), &state.neighbors)
+    }
+
+    /// [`GonModel::generate_batch`] with each candidate's graph embedded
+    /// incrementally against `reference` (built by
+    /// [`GonModel::gat_reference`] from a state the candidates differ
+    /// from in a few hosts) instead of by a full GAT forward. Bit-identical
+    /// to `generate_batch`; this is the repair search's scoring path.
+    pub fn generate_batch_against(
+        &mut self,
+        states: &[SystemState],
+        reference: &GatReference,
+    ) -> Vec<Generated> {
+        self.generate_batch_impl(states, Some(reference), false)
     }
 
     /// [`GonModel::generate_batch`] with **no parameter-gradient side
@@ -434,12 +503,13 @@ impl GonModel {
     /// bit-for-bit. Side-effect-free evaluation during training runs on
     /// this.
     pub fn generate_batch_nograd(&mut self, states: &[SystemState]) -> Vec<Generated> {
-        self.generate_batch_impl(states, true)
+        self.generate_batch_impl(states, None, true)
     }
 
     fn generate_batch_impl(
         &mut self,
         states: &[SystemState],
+        reference: Option<&GatReference>,
         preserve_grads: bool,
     ) -> Vec<Generated> {
         let b = states.len();
@@ -447,9 +517,10 @@ impl GonModel {
             return Vec::new();
         }
         let refs: Vec<&SystemState> = states.iter().collect();
-        let (mut x, gfeat, neighbors, segments) = Self::stacked_inputs(&refs);
-        let eg = self.gat.forward(&gfeat, &neighbors);
-        let e_g = Self::pool_segments(&eg, &segments); // constant across steps
+        let mut x = Self::stacked_ms(&refs);
+        let segments = Self::segments(&refs);
+        // Constant across steps.
+        let e_g = self.graph_embeddings(&refs, &segments, reference);
 
         let mut flats: Vec<Vec<f64>> = states.iter().map(|s| s.metrics_flat()).collect();
         let mut outs: Vec<Generated> = flats
@@ -677,9 +748,8 @@ impl GonModel {
         // with only the metrics replaced, so the GAT — a pure function of
         // graph features and adjacency — runs over the B real components
         // once; its pooled rows are bitwise equal to the fake segments'.
-        let (_, gfeat, gat_neighbors, real_segments) = Self::stacked_inputs(states);
-        let eg = self.gat.forward(&gfeat, &gat_neighbors);
-        let e_g_real = Self::pool_segments(&eg, &real_segments); // [B × gat_dim]
+        let real_segments = Self::segments(states);
+        let e_g_real = self.graph_embeddings(states, &real_segments, None); // [B × gat_dim]
         let mut e_g = Matrix::zeros(2 * states.len(), self.config.gat_dim);
         for i in 0..states.len() {
             e_g.row_mut(2 * i).copy_from_slice(e_g_real.row(i));
@@ -691,7 +761,8 @@ impl GonModel {
             combined.push(real);
             combined.push(fake);
         }
-        let (x, _, _, segments) = Self::stacked_inputs(&combined);
+        let x = Self::stacked_ms(&combined);
+        let segments = Self::segments(&combined);
         let e = self.ms_encoder.forward(&x); // [Σ2n × hidden]
         let e_ms = Self::pool_segments(&e, &segments); // [2B × hidden]
         let scores = self.head.forward(&e_ms.hcat(&e_g)); // [2B × 1]
@@ -741,22 +812,18 @@ impl GonModel {
     }
 
     /// Batched [`GonModel::predict_qos`] over candidate states: generates
-    /// `M*` for the whole batch, substitutes it per candidate, and reads
-    /// the objective columns. Bit-identical to mapping `predict_qos`.
+    /// `M*` for the whole batch and reads each candidate's objective
+    /// columns off it. Bit-identical to mapping `predict_qos`.
     pub fn predict_qos_batch(
         &mut self,
         states: &[SystemState],
         alpha: f64,
         beta: f64,
     ) -> Vec<(f64, f64)> {
-        let generated = self.generate_batch(states);
-        states
-            .iter()
-            .zip(generated)
-            .map(|(state, gen)| {
-                let mut probe = state.clone();
-                probe.set_metrics_flat(&gen.metrics_flat);
-                let (q_energy, q_slo) = probe.qos_components();
+        self.generate_batch(states)
+            .into_iter()
+            .map(|gen| {
+                let (q_energy, q_slo) = SystemState::qos_components_flat(&gen.metrics_flat);
                 (alpha * q_energy + beta * q_slo, gen.confidence)
             })
             .collect()
@@ -965,6 +1032,48 @@ mod tests {
         for ((aq, ac), (bq, bc)) in serial.iter().zip(&batched) {
             assert_eq!(aq.to_bits(), bq.to_bits(), "objective diverged");
             assert_eq!(ac.to_bits(), bc.to_bits(), "confidence diverged");
+        }
+    }
+
+    /// Generation against a GAT reference equals generation without one,
+    /// for candidates that differ from the reference state by node-shift
+    /// moves, the reference state itself, and a state of another size.
+    #[test]
+    fn generate_batch_against_reference_is_bit_identical() {
+        let mut model = GonModel::new(small_config());
+        let base = test_state(16, 4, 0.45);
+        let mut promoted = base.topology.clone();
+        promoted.promote(9).unwrap();
+        let mut reassigned = promoted.clone();
+        reassigned.reassign(5, 9).unwrap();
+        reassigned.reassign(6, 9).unwrap();
+        let mut demoted = base.topology.clone();
+        for w in demoted.workers_of(3).to_vec() {
+            demoted.reassign(w, 0).unwrap();
+        }
+        demoted.demote(3, 0).unwrap();
+        let states = vec![
+            base.with_topology(&promoted),
+            base.clone(),
+            base.with_topology(&reassigned),
+            test_state(8, 2, 0.3),
+            base.with_topology(&demoted),
+        ];
+        let reference = model.gat_reference(&base);
+        let want = model.generate_batch(&states);
+        let got = model.generate_batch_against(&states, &reference);
+        assert_eq!(got.len(), want.len());
+        for (i, (a, b)) in want.iter().zip(&got).enumerate() {
+            assert_eq!(
+                a.confidence.to_bits(),
+                b.confidence.to_bits(),
+                "candidate {i}"
+            );
+            assert_eq!(a.iterations, b.iterations, "candidate {i}: iterations");
+            assert_eq!(a.metrics_flat.len(), b.metrics_flat.len());
+            for (x, y) in a.metrics_flat.iter().zip(&b.metrics_flat) {
+                assert_eq!(x.to_bits(), y.to_bits(), "candidate {i}: metrics diverged");
+            }
         }
     }
 

@@ -44,6 +44,45 @@ struct Cache {
     output: Matrix,
 }
 
+/// Inference snapshot of one graph under a [`GraphAttention`] layer: the
+/// per-node projection rows `h`, `q`, `k` and the output rows, built by
+/// [`GraphAttention::reference`]. Candidate graphs that differ from it in a
+/// few nodes are then embedded by [`GraphAttention::pooled_embedding`]
+/// without a full forward — CAROL's repair search builds one per search
+/// from the pre-repair state and scores hundreds of node-shift candidates
+/// against it.
+///
+/// **Dirty-row rule.** For a candidate of the same size:
+///
+/// * node `j`'s projections are recomputed iff its feature row differs
+///   bitwise from the reference's (`h_j`, `q_j`, `k_j` are functions of
+///   that row alone);
+/// * node `i`'s output row is recomputed iff its neighbour list differs,
+///   its own projections were recomputed (`q_i` enters its logits), or
+///   one of its neighbours' projections were (`k_j`, `h_j` enter its
+///   softmax and aggregate);
+/// * every other output row is copied from the reference.
+///
+/// A copied row is the reference's row for the same inputs, and a
+/// recomputed one runs the same row routine as
+/// [`GraphAttention::forward`] on the same operands, so every output row
+/// is bitwise the full forward's. The mean-pool then adds the rows in
+/// ascending order and multiplies once by `1/n` — the chain the GON's
+/// per-segment pool uses — so the pooled embedding is bit-exact too. A
+/// candidate of another size shares no rows and is embedded from
+/// scratch.
+///
+/// A reference is valid only for the parameters it was built with.
+#[derive(Debug, Clone)]
+pub struct GatReference {
+    features: Matrix,
+    neighbors: Vec<Vec<usize>>,
+    h: Matrix,
+    q: Matrix,
+    k: Matrix,
+    output: Matrix,
+}
+
 impl GraphAttention {
     /// New layer mapping `in_dim`-dimensional node features to `out_dim`
     /// embeddings, with `att_dim`-dimensional attention keys/queries.
@@ -103,63 +142,25 @@ impl GraphAttention {
     /// `features.cols() != in_dim`, or if a neighbour index is out of range.
     pub fn forward(&mut self, features: &Matrix, neighbors: &[Vec<usize>]) -> Matrix {
         let n = features.rows();
-        assert_eq!(neighbors.len(), n, "one neighbour list per node required");
-        assert_eq!(features.cols(), self.in_dim(), "feature width mismatch");
+        check_graph(features, neighbors, self.in_dim());
+        let (h, q, k) = self.project(features);
+        let scale = self.attention_scale();
 
-        let h_pre = features
-            .matmul(&self.w.value)
-            .add_row_broadcast(&self.b.value);
-        let h = h_pre.map(f64::tanh);
-        let q = h.matmul(&self.wq.value);
-        let k = h.matmul(&self.wk.value);
-        let scale = 1.0 / (self.wq.value.cols() as f64).sqrt();
-
-        let d_out = self.out_dim();
-        let mut output = Matrix::zeros(n, d_out);
+        let mut output = Matrix::zeros(n, self.out_dim());
         let mut attention = Vec::with_capacity(n);
         for (i, nbrs) in neighbors.iter().enumerate() {
-            for &j in nbrs {
-                assert!(j < n, "neighbour index {j} out of range for {n} nodes");
-            }
-            if nbrs.is_empty() {
-                attention.push(Vec::new());
-                continue;
-            }
-            // Dot-product attention logits, softmax-normalised with the
-            // usual max-subtraction for stability. Each logit is its own
-            // ascending-c chain, so four neighbours' logits run as
-            // parallel SIMD lanes; the exp stays scalar (libm).
-            let qi = q.row(i);
-            let mut logits = vec![0.0f64; nbrs.len()];
-            let mut idx = 0;
-            while idx + 4 <= nbrs.len() {
-                let dots = kernel::dot4_rows(
-                    qi,
-                    k.row(nbrs[idx]),
-                    k.row(nbrs[idx + 1]),
-                    k.row(nbrs[idx + 2]),
-                    k.row(nbrs[idx + 3]),
-                );
-                for (t, &d) in dots.iter().enumerate() {
-                    logits[idx + t] = d * scale;
-                }
-                idx += 4;
-            }
-            while idx < nbrs.len() {
-                logits[idx] = kernel::dot(qi, k.row(nbrs[idx])) * scale;
-                idx += 1;
-            }
-            let max = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            let exps: Vec<f64> = logits.iter().map(|l| (l - max).exp()).collect();
-            let denom: f64 = exps.iter().sum();
-            let alpha: Vec<f64> = exps.iter().map(|e| e / denom).collect();
-
-            for (idx, &j) in nbrs.iter().enumerate() {
-                kernel::axpy(output.row_mut(i), alpha[idx], h.row(j));
-            }
+            let mut alpha = Vec::new();
+            attend_row(
+                q.row(i),
+                nbrs,
+                |j| k.row(j),
+                |j| h.row(j),
+                scale,
+                &mut alpha,
+                output.row_mut(i),
+            );
             attention.push(alpha);
         }
-        let output = output.map(f64::tanh);
 
         self.cache = Some(Cache {
             features: features.clone(),
@@ -171,6 +172,142 @@ impl GraphAttention {
             output: output.clone(),
         });
         output
+    }
+
+    /// The per-node projections `h = tanh(U·W + b)`, `q = h·W_q` and
+    /// `k = h·W_k` of `features`. Every product row depends on its input
+    /// row alone (ascending-`k` chains, see [`Matrix::matmul`]), so
+    /// projecting any subset of rows gives bitwise the rows a projection
+    /// of the whole graph would.
+    fn project(&self, features: &Matrix) -> (Matrix, Matrix, Matrix) {
+        let h = features
+            .matmul(&self.w.value)
+            .add_row_broadcast(&self.b.value)
+            .map(f64::tanh);
+        let q = h.matmul(&self.wq.value);
+        let k = h.matmul(&self.wk.value);
+        (h, q, k)
+    }
+
+    /// `1/sqrt(d)` for the attention logits.
+    fn attention_scale(&self) -> f64 {
+        1.0 / (self.wq.value.cols() as f64).sqrt()
+    }
+
+    /// Inference-only snapshot of a graph's per-node projections and
+    /// output rows, the starting point of
+    /// [`GraphAttention::pooled_embedding`]. Runs the same arithmetic as
+    /// [`GraphAttention::forward`] but builds no training cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the same malformed inputs as [`GraphAttention::forward`].
+    pub fn reference(&self, features: &Matrix, neighbors: &[Vec<usize>]) -> GatReference {
+        check_graph(features, neighbors, self.in_dim());
+        let (h, q, k) = self.project(features);
+        let scale = self.attention_scale();
+        let mut output = Matrix::zeros(features.rows(), self.out_dim());
+        let mut alpha = Vec::new();
+        for (i, nbrs) in neighbors.iter().enumerate() {
+            attend_row(
+                q.row(i),
+                nbrs,
+                |j| k.row(j),
+                |j| h.row(j),
+                scale,
+                &mut alpha,
+                output.row_mut(i),
+            );
+        }
+        GatReference {
+            features: features.clone(),
+            neighbors: neighbors.to_vec(),
+            h,
+            q,
+            k,
+            output,
+        }
+    }
+
+    /// Mean-pooled embedding of a candidate graph, computed incrementally
+    /// against `reference` and written to `pooled` (`out_dim` wide).
+    ///
+    /// Bit-identical to [`GraphAttention::forward`] over the candidate
+    /// followed by a mean-pool that adds the output rows in ascending
+    /// order and multiplies once by `1/n` — see [`GatReference`] for which
+    /// rows are recomputed and why the result is exact. `reference` must
+    /// come from this layer with its current parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the same malformed inputs as [`GraphAttention::forward`],
+    /// or if `pooled.len() != out_dim`.
+    pub fn pooled_embedding(
+        &self,
+        reference: &GatReference,
+        features: &Matrix,
+        neighbors: &[Vec<usize>],
+        pooled: &mut [f64],
+    ) {
+        let n = features.rows();
+        check_graph(features, neighbors, self.in_dim());
+        assert_eq!(pooled.len(), self.out_dim(), "pooled width mismatch");
+        // A reference of another size shares no rows: everything is dirty.
+        let comparable = reference.features.shape() == features.shape();
+
+        // Projection-dirty rows: feature row differs bitwise. `slot[j]`
+        // is row j's index into the recomputed projections.
+        const CLEAN: usize = usize::MAX;
+        let mut slot = vec![CLEAN; n];
+        let mut dirty = Vec::new();
+        for (j, s) in slot.iter_mut().enumerate() {
+            let same = comparable
+                && features
+                    .row(j)
+                    .iter()
+                    .zip(reference.features.row(j))
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+            if !same {
+                *s = dirty.len();
+                dirty.push(j);
+            }
+        }
+        let mut sub = Matrix::zeros(dirty.len(), self.in_dim());
+        for (r, &j) in dirty.iter().enumerate() {
+            sub.row_mut(r).copy_from_slice(features.row(j));
+        }
+        let (h, q, k) = self.project(&sub);
+        let h_row = |j: usize| match slot[j] {
+            CLEAN => reference.h.row(j),
+            s => h.row(s),
+        };
+        let q_row = |j: usize| match slot[j] {
+            CLEAN => reference.q.row(j),
+            s => q.row(s),
+        };
+        let k_row = |j: usize| match slot[j] {
+            CLEAN => reference.k.row(j),
+            s => k.row(s),
+        };
+
+        let scale = self.attention_scale();
+        let mut row = vec![0.0; self.out_dim()];
+        let mut alpha = Vec::new();
+        pooled.fill(0.0);
+        for (i, nbrs) in neighbors.iter().enumerate() {
+            let recompute = !comparable
+                || slot[i] != CLEAN
+                || nbrs != &reference.neighbors[i]
+                || nbrs.iter().any(|&j| slot[j] != CLEAN);
+            if recompute {
+                row.fill(0.0);
+                attend_row(q_row(i), nbrs, k_row, h_row, scale, &mut alpha, &mut row);
+                kernel::add_assign(pooled, &row);
+            } else {
+                kernel::add_assign(pooled, reference.output.row(i));
+            }
+        }
+        kernel::scale_assign(pooled, 1.0 / n as f64);
     }
 
     /// Backward pass: accumulates parameter gradients and returns the
@@ -215,7 +352,7 @@ impl GraphAttention {
         );
         let d_out = self.out_dim();
         let d_att = self.wq.value.cols();
-        let scale = 1.0 / (d_att as f64).sqrt();
+        let scale = self.attention_scale();
         assert_eq!(
             grad_output.shape(),
             (n, d_out),
@@ -306,7 +443,7 @@ impl GraphAttention {
         );
         let d_out = self.out_dim();
         let d_att = self.wq.value.cols();
-        let scale = 1.0 / (d_att as f64).sqrt();
+        let scale = self.attention_scale();
         assert_eq!(
             grad_output.shape(),
             (2 * n, d_out),
@@ -398,6 +535,78 @@ impl GraphAttention {
                 self.b.grad.add_in_place(&gseg.sum_rows());
             }
         }
+    }
+}
+
+/// Checks a graph's shape against a layer's input width.
+fn check_graph(features: &Matrix, neighbors: &[Vec<usize>], in_dim: usize) {
+    let n = features.rows();
+    assert_eq!(neighbors.len(), n, "one neighbour list per node required");
+    assert_eq!(features.cols(), in_dim, "feature width mismatch");
+    for nbrs in neighbors {
+        for &j in nbrs {
+            assert!(j < n, "neighbour index {j} out of range for {n} nodes");
+        }
+    }
+}
+
+/// One node's attention: dot-product logits against its neighbours'
+/// keys, a softmax, the weighted sum of their `h` rows and the output
+/// `tanh`, written to `out` (which must be zero on entry; a node with no
+/// neighbours keeps its zero row, `tanh(0) = 0`). The softmax weights are
+/// left in `alpha`. The only attention-row implementation: the training
+/// forward, [`GraphAttention::reference`] and
+/// [`GraphAttention::pooled_embedding`] all run it, which is what makes
+/// their rows bitwise interchangeable.
+///
+/// Each logit is its own ascending-`c` chain, so four neighbours' logits
+/// run as parallel SIMD lanes; the `exp` stays scalar (libm). Softmax
+/// uses the usual max-subtraction for stability.
+fn attend_row<'a>(
+    qi: &[f64],
+    nbrs: &[usize],
+    k_row: impl Fn(usize) -> &'a [f64],
+    h_row: impl Fn(usize) -> &'a [f64],
+    scale: f64,
+    alpha: &mut Vec<f64>,
+    out: &mut [f64],
+) {
+    alpha.clear();
+    if nbrs.is_empty() {
+        return;
+    }
+    alpha.resize(nbrs.len(), 0.0);
+    let mut idx = 0;
+    while idx + 4 <= nbrs.len() {
+        let dots = kernel::dot4_rows(
+            qi,
+            k_row(nbrs[idx]),
+            k_row(nbrs[idx + 1]),
+            k_row(nbrs[idx + 2]),
+            k_row(nbrs[idx + 3]),
+        );
+        for (t, &d) in dots.iter().enumerate() {
+            alpha[idx + t] = d * scale;
+        }
+        idx += 4;
+    }
+    while idx < nbrs.len() {
+        alpha[idx] = kernel::dot(qi, k_row(nbrs[idx])) * scale;
+        idx += 1;
+    }
+    let max = alpha.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    for a in alpha.iter_mut() {
+        *a = (*a - max).exp();
+    }
+    let denom: f64 = alpha.iter().sum();
+    for a in alpha.iter_mut() {
+        *a /= denom;
+    }
+    for (&a, &j) in alpha.iter().zip(nbrs) {
+        kernel::axpy(out, a, h_row(j));
+    }
+    for v in out.iter_mut() {
+        *v = v.tanh();
     }
 }
 
@@ -768,6 +977,30 @@ mod tests {
                     "interleaved backward diverged from duplicated stacking"
                 );
             }
+        }
+    }
+
+    /// Without self-loops a node's own projection still enters its
+    /// logits (`q_i`), so editing its features alone must recompute its
+    /// output row even though no neighbour changed.
+    #[test]
+    fn incremental_pool_recomputes_a_node_whose_own_features_changed() {
+        let gat = GraphAttention::new(3, 5, 4, &mut Initializer::new(11));
+        let n = 6;
+        let ring: Vec<Vec<usize>> = (0..n).map(|i| vec![(i + 1) % n, (i + n - 1) % n]).collect();
+        let base = Initializer::new(12).normal(n, 3, 1.0);
+        let mut edited = base.clone();
+        edited[(0, 1)] += 0.5;
+        let reference = gat.reference(&base, &ring);
+        let mut pooled = vec![0.0; 5];
+        gat.pooled_embedding(&reference, &edited, &ring, &mut pooled);
+        let want = gat
+            .clone()
+            .forward(&edited, &ring)
+            .sum_rows()
+            .scale(1.0 / n as f64);
+        for (a, b) in pooled.iter().zip(want.row(0)) {
+            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 

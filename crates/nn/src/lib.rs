@@ -10,7 +10,9 @@
 //!   to the inputs**, which the GON generation loop (eq. 1 of the paper)
 //!   ascends,
 //! * a [`GraphAttention`] layer implementing eq. 4 (graph-to-graph update
-//!   with dot-product self-attention over each node's neighbourhood),
+//!   with dot-product self-attention over each node's neighbourhood), with
+//!   a [`GatReference`] for embedding graphs that differ from a reference
+//!   graph in a few nodes without a full forward,
 //! * the [`Adam`] optimizer with decoupled weight decay (lr 1e-4, decay
 //!   1e-5 in the paper's §IV-E),
 //! * binary-cross-entropy losses used by the adversarial GON training
@@ -34,7 +36,7 @@ pub mod loss;
 pub mod matrix;
 
 pub use adam::Adam;
-pub use gat::GraphAttention;
+pub use gat::{GatReference, GraphAttention};
 pub use layer::{Activation, Dense, Layer, Param, Sequential};
 pub use matrix::Matrix;
 

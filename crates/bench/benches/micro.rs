@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks for the performance-critical primitives:
-//! GON scoring/generation (the inner loop of every tabu evaluation), the
-//! blocked matmul kernel at GAT shapes, node-shift neighbourhood
-//! enumeration, tabu search, POT updates and one full simulator interval.
+//! GON scoring (taped, and the cache-free confidence check) and
+//! generation (the inner loop of every tabu evaluation), the blocked
+//! matmul kernel at GAT shapes, node-shift neighbourhood enumeration,
+//! tabu search, POT updates and one full simulator interval.
 //! These quantify the decision-time budget behind Fig. 5(d).
 //!
 //! Set `BENCH_JSON=<path>` to also write `{name, median_ns, iters}`
@@ -40,11 +41,43 @@ fn testbed_state() -> SystemState {
     )
 }
 
+/// A snapshot of the `aiot-1024` federation shape (1024 hosts, 64 LEIs,
+/// AIoTBench arrivals at the registry's 0.45 tasks/host/interval) after
+/// five intervals.
+fn aiot_1024_state() -> SystemState {
+    let (n_hosts, n_brokers) = (1024, 64);
+    let mut sim = Simulator::new(SimConfig::federation(n_hosts, n_brokers, 7));
+    let mut sched = LeastLoadScheduler::new();
+    let rate = 0.45 * n_hosts as f64;
+    let mut workload = workloads::BagOfTasks::new(workloads::BenchmarkSuite::AIoTBench, rate, 7);
+    let mut last = SchedulingDecision::new();
+    for t in 0..5 {
+        last = sim.step(workload.sample_interval(t), &mut sched).decision;
+    }
+    SystemState::capture(
+        sim.topology(),
+        sim.specs(),
+        sim.host_states(),
+        sim.tasks(),
+        &last,
+        &Normalizer::for_federation(n_hosts, n_brokers),
+    )
+}
+
 fn bench_gon(c: &mut Criterion) {
     let state = testbed_state();
     let mut model = GonModel::new(GonConfig::default());
     c.bench_function("gon_score_16_hosts", |b| {
         b.iter(|| black_box(model.score(black_box(&state))))
+    });
+    // The same state and model through the cache-free forward CAROL's
+    // per-interval confidence check runs.
+    c.bench_function("gon_confidence_16_hosts", |b| {
+        b.iter(|| black_box(model.confidence(black_box(&state))))
+    });
+    let state_1024 = aiot_1024_state();
+    c.bench_function("gon_confidence_1024_hosts", |b| {
+        b.iter(|| black_box(model.confidence(black_box(&state_1024))))
     });
     let mut model2 = GonModel::new(GonConfig {
         gen_steps: 10,

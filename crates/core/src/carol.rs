@@ -153,6 +153,7 @@ pub struct Carol {
     ff: Option<FeedForwardSurrogate>,
     pot: PotDetector,
     /// Running dataset Γ of fault-free intervals (Algorithm 2 line 10).
+    /// Stays empty under [`FineTuneMode::Never`], where nothing reads it.
     gamma: Vec<SystemState>,
     adam: Adam,
     rng: StdRng,
@@ -567,14 +568,12 @@ impl Carol {
         })
     }
 
-    /// Confidence score of the current state under the surrogate.
+    /// Confidence score of the current state under the surrogate. The
+    /// GON scores it with its cache-free inference forward: no tape, no
+    /// gradient side effects.
     fn confidence(&mut self, snapshot: &SystemState) -> f64 {
         match self.config.variant {
-            CarolVariant::Gon => {
-                let c = self.gon.score(snapshot);
-                self.gon.zero_grad();
-                c
-            }
+            CarolVariant::Gon => self.gon.confidence(snapshot),
             CarolVariant::Gan => self.gan.as_mut().expect("GAN present").score(snapshot),
             // A plain regressor has no likelihood output — the defining
             // deficiency of the "traditional surrogate" ablation.
@@ -697,19 +696,27 @@ impl ResiliencePolicy for Carol {
             .collect();
 
         let mut topo = sim.topology().clone();
-        for &b in &failed {
-            if !matches!(topo.role(b), NodeRole::Broker) {
-                continue; // already handled while repairing a peer
+        // Two passes in host order. A worker-less failed broker repaired
+        // before any live broker exists has an empty neighbourhood and
+        // stays a broker; the second pass repairs it against the
+        // topology its peers' repairs produced. It skips every failed
+        // host the first pass already demoted, so a repair that never
+        // hits this case runs exactly as a single pass would.
+        for _pass in 0..2 {
+            for &b in &failed {
+                if !matches!(topo.role(b), NodeRole::Broker) {
+                    continue; // already handled while repairing a peer
+                }
+                // Algorithm 2 line 7: random node-shift seeds the search …
+                topo = random_shift(&topo, b, &banned, &mut self.rng);
+                // … line 8: tabu search over Ω(G; D, S, O), each iteration
+                // scoring the whole neighbourhood through the batched
+                // surrogate engine.
+                let tabu_cfg = self.config.tabu.clone();
+                let result = tabu::search(topo, &banned, &tabu_cfg, self.batch_objective(snapshot));
+                self.last_repair_score = Some(result.best_score);
+                topo = result.best;
             }
-            // Algorithm 2 line 7: random node-shift seeds the search …
-            topo = random_shift(&topo, b, &banned, &mut self.rng);
-            // … line 8: tabu search over Ω(G; D, S, O), each iteration
-            // scoring the whole neighbourhood through the batched
-            // surrogate engine.
-            let tabu_cfg = self.config.tabu.clone();
-            let result = tabu::search(topo, &banned, &tabu_cfg, self.batch_objective(snapshot));
-            self.last_repair_score = Some(result.best_score);
-            topo = result.best;
         }
         Some(topo)
     }
@@ -724,8 +731,9 @@ impl ResiliencePolicy for Carol {
         let t = self.interval;
         self.interval += 1;
 
-        // Line 10: fault-free intervals feed the running dataset Γ.
-        if report.failed_brokers.is_empty() {
+        // Line 10: fault-free intervals feed the running dataset Γ —
+        // unless no fine-tune will ever read it.
+        if report.failed_brokers.is_empty() && self.config.fine_tune != FineTuneMode::Never {
             self.gamma.push(snapshot.clone());
         }
 
@@ -875,6 +883,47 @@ mod tests {
             policy.surrogate_queries > 0,
             "tabu must query the surrogate"
         );
+    }
+
+    /// Every broker fails at once and the first in host order has no
+    /// workers: when it is repaired no live broker exists yet, so its
+    /// neighbourhood is empty. The repair must still demote it once its
+    /// peers' repairs have created live brokers.
+    #[test]
+    fn workerless_broker_failing_with_all_peers_is_demoted() {
+        let mut policy = Carol::pretrained(CarolConfig::fast_test(), 1);
+        let mut sim = Simulator::new(SimConfig::small(8, 2, 1));
+        let mut topo = sim.topology().clone();
+        let (first, second) = (topo.brokers()[0], topo.brokers()[1]);
+        for w in topo.workers_of(first).to_vec() {
+            topo.reassign(w, second).unwrap();
+        }
+        assert_eq!(topo.worker_count(first), 0);
+        sim.set_topology(topo);
+        let mut sched = LeastLoadScheduler::new();
+        for b in [first, second] {
+            sim.inject_fault(
+                b,
+                FaultLoad {
+                    cpu: 1.0,
+                    ..Default::default()
+                },
+            );
+        }
+        let report = sim.step(Vec::new(), &mut sched);
+        assert_eq!(report.failed_brokers, vec![first, second]);
+        let snapshot = capture(&sim, &report.decision);
+
+        let repaired = policy
+            .repair(&sim, &snapshot)
+            .expect("failure must produce a repair");
+        repaired.validate().unwrap();
+        for b in [first, second] {
+            assert!(
+                matches!(repaired.role(b), NodeRole::Worker { .. }),
+                "failed broker {b} is still a broker: {repaired:?}"
+            );
+        }
     }
 
     #[test]
@@ -1089,13 +1138,113 @@ mod tests {
         }
     }
 
+    /// The per-interval confidence check runs the cache-free forward; it
+    /// must equal the taped training forward (`GonModel::score`) on every
+    /// interval, across fine-tunes run inline and in the background.
+    #[test]
+    fn confidence_history_matches_the_taped_score_across_fine_tunes() {
+        let mut histories = Vec::new();
+        for background in [false, true] {
+            let mut policy = Carol::pretrained(CarolConfig::fast_test(), 4);
+            policy.set_background_tune(background);
+            // 12 hosts: the mean-pool's 1/n is not a power of two, so
+            // a pool that divided instead of scaling would show.
+            let mut sim = Simulator::new(SimConfig::small(12, 3, 4));
+            let mut sched = LeastLoadScheduler::new();
+            // Seed 4 at this rate alarms several times once POT has
+            // calibrated (30 intervals).
+            let mut workload =
+                workloads::BagOfTasks::new(workloads::BenchmarkSuite::AIoTBench, 1.0, 4);
+            for t in 0..60 {
+                let report = sim.step(workload.sample_interval(t), &mut sched);
+                let snapshot = capture(&sim, &report.decision);
+                // The oracle scores with the weights `observe` will use.
+                policy.install_pending_tune();
+                let want = policy.gon.clone().score(&snapshot);
+                policy.observe(&sim, &snapshot, &report);
+                let got = *policy.confidence_history.last().unwrap();
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "background={background}: interval {t}: {got} vs {want}"
+                );
+            }
+            assert!(
+                policy.fine_tune_count() > 0,
+                "background={background}: the run must fine-tune"
+            );
+            histories.push(policy.confidence_history);
+        }
+        assert_eq!(histories[0], histories[1]);
+    }
+
+    /// Under `Never` nothing reads Γ, so it stays empty — and a
+    /// checkpoint taken mid-run still resumes bit-identically, through
+    /// later confidence checks and a repair.
+    #[test]
+    fn never_mode_keeps_gamma_empty_and_resumes_bit_identically() {
+        let mut policy = Carol::pretrained(
+            CarolConfig {
+                fine_tune: FineTuneMode::Never,
+                ..CarolConfig::fast_test()
+            },
+            12,
+        );
+        let mut sim = Simulator::new(SimConfig::small(8, 2, 12));
+        let mut sched = LeastLoadScheduler::new();
+        for _ in 0..4 {
+            let report = sim.step(Vec::new(), &mut sched);
+            assert!(report.failed_brokers.is_empty());
+            let snapshot = capture(&sim, &report.decision);
+            policy.observe(&sim, &snapshot, &report);
+        }
+        assert!(policy.gamma.is_empty(), "Never mode filled Γ");
+        let ckpt = policy.checkpoint().unwrap();
+        assert!(ckpt.gamma.is_empty());
+        let mut restored =
+            Carol::restore(&CarolCheckpoint::from_json(&ckpt.to_json()).unwrap()).unwrap();
+
+        for t in 0..4 {
+            if t == 2 {
+                sim.inject_fault(
+                    sim.topology().brokers()[0],
+                    FaultLoad {
+                        cpu: 1.0,
+                        ..Default::default()
+                    },
+                );
+            }
+            let report = sim.step(Vec::new(), &mut sched);
+            let snapshot = capture(&sim, &report.decision);
+            let repair = policy.repair(&sim, &snapshot);
+            assert_eq!(repair, restored.repair(&sim, &snapshot), "interval {t}");
+            policy.observe(&sim, &snapshot, &report);
+            restored.observe(&sim, &snapshot, &report);
+            if let Some(topo) = repair {
+                sim.set_topology(topo);
+            }
+        }
+        assert!(policy.surrogate_queries > 0, "the fault must be repaired");
+        let bits =
+            |c: &Carol| -> Vec<u64> { c.confidence_history.iter().map(|v| v.to_bits()).collect() };
+        assert_eq!(bits(&policy), bits(&restored));
+        assert_eq!(policy.threshold_history, restored.threshold_history);
+        assert_eq!(
+            policy.modeled_decision_s.to_bits(),
+            restored.modeled_decision_s.to_bits()
+        );
+        assert!(policy.gamma.is_empty() && restored.gamma.is_empty());
+    }
+
     /// A checkpoint whose Γ holds a damaged topology is refused with a
     /// typed error at parse time, not accepted into a broken index.
+    /// Confidence mode fills Γ, and POT cannot alarm (and clear it)
+    /// before calibration ends, long after these three intervals.
     #[test]
     fn damaged_gamma_topology_is_a_typed_checkpoint_error() {
         let mut policy = Carol::pretrained(
             CarolConfig {
-                fine_tune: FineTuneMode::Never,
+                fine_tune: FineTuneMode::Confidence,
                 ..CarolConfig::fast_test()
             },
             4,

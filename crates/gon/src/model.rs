@@ -97,7 +97,8 @@ pub struct Generated {
 ///
 /// The model is `Clone`: batched candidate evaluation hands each worker
 /// thread its own replica (parameters are frozen during scoring, so
-/// replicas produce bit-identical results to the original).
+/// replicas produce bit-identical results to the original). A replica
+/// copies the parameters, not the tape of the model's last forward.
 #[derive(Clone)]
 pub struct GonModel {
     config: GonConfig,
@@ -191,9 +192,34 @@ impl GonModel {
         g
     }
 
-    /// Forward pass: `D(M, S, G; θ) ∈ [0, 1]`.
+    /// Forward pass: `D(M, S, G; θ) ∈ [0, 1]`. This is the training
+    /// forward: it records the tape [`GonModel::backward`] reads. To only
+    /// read the score, use [`GonModel::confidence`].
     pub fn score(&mut self, state: &SystemState) -> f64 {
         self.forward_internal(state)
+    }
+
+    /// The confidence score `D(M, S, G; θ)` of `state` from a cache-free
+    /// inference forward: bit-identical to [`GonModel::score`], but it
+    /// records no tape and leaves the model untouched. CAROL scores every
+    /// interval's state with this (Algorithm 2 line 11).
+    ///
+    /// Every layer runs its [`Layer::infer`] routine, the arithmetic its
+    /// taped `forward` shares; both branches mean-pool in the same
+    /// ascending-row chain, and the graph branch embeds through
+    /// [`GraphAttention::pooled_embedding`] without a reference.
+    pub fn confidence(&self, state: &SystemState) -> f64 {
+        let n = state.n_hosts();
+        let e = self.ms_encoder.infer(&Self::ms_input(state)); // [n × hidden]
+        let e_ms = Self::pool_segments(&e, &[(0, n)]);
+        let mut e_g = Matrix::zeros(1, self.config.gat_dim);
+        self.gat.pooled_embedding(
+            None,
+            &Self::graph_input(state),
+            &state.neighbors,
+            e_g.row_mut(0),
+        );
+        self.head.infer(&e_ms.hcat(&e_g))[(0, 0)]
     }
 
     fn forward_internal(&mut self, state: &SystemState) -> f64 {
@@ -369,7 +395,7 @@ impl GonModel {
                 let mut e_g = Matrix::zeros(states.len(), self.config.gat_dim);
                 for (i, s) in states.iter().enumerate() {
                     self.gat.pooled_embedding(
-                        reference,
+                        Some(reference),
                         &Self::graph_input(s),
                         &s.neighbors,
                         e_g.row_mut(i),

@@ -22,8 +22,9 @@ use crate::layer::Param;
 use crate::matrix::Matrix;
 use serde::{Deserialize, Serialize};
 
-/// Graph attention layer with dot-product self-attention.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Graph attention layer with dot-product self-attention. A clone copies
+/// the parameters, not the tape of the last [`GraphAttention::forward`].
+#[derive(Debug, Serialize, Deserialize)]
 pub struct GraphAttention {
     w: Param,
     b: Param,
@@ -33,7 +34,7 @@ pub struct GraphAttention {
     cache: Option<Cache>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Cache {
     features: Matrix,
     h: Matrix,
@@ -81,6 +82,18 @@ pub struct GatReference {
     q: Matrix,
     k: Matrix,
     output: Matrix,
+}
+
+impl Clone for GraphAttention {
+    fn clone(&self) -> Self {
+        Self {
+            w: self.w.clone(),
+            b: self.b.clone(),
+            wq: self.wq.clone(),
+            wk: self.wk.clone(),
+            cache: None,
+        }
+    }
 }
 
 impl GraphAttention {
@@ -229,14 +242,19 @@ impl GraphAttention {
         }
     }
 
-    /// Mean-pooled embedding of a candidate graph, computed incrementally
-    /// against `reference` and written to `pooled` (`out_dim` wide).
+    /// Mean-pooled embedding of a graph, written to `pooled` (`out_dim`
+    /// wide): the inference forward, recording no tape.
     ///
-    /// Bit-identical to [`GraphAttention::forward`] over the candidate
-    /// followed by a mean-pool that adds the output rows in ascending
-    /// order and multiplies once by `1/n` — see [`GatReference`] for which
-    /// rows are recomputed and why the result is exact. `reference` must
-    /// come from this layer with its current parameters.
+    /// With `None` every row is projected and attended, one output row at
+    /// a time into a scratch row. With `Some(reference)` the graph is
+    /// embedded incrementally against it, recomputing only the rows the
+    /// [`GatReference`] dirty-row rule names and copying the rest.
+    ///
+    /// Either way the result is bit-identical to
+    /// [`GraphAttention::forward`] followed by a mean-pool that adds the
+    /// output rows in ascending order and multiplies once by `1/n` — see
+    /// [`GatReference`] for why the incremental rows are exact. A
+    /// `reference` must come from this layer with its current parameters.
     ///
     /// # Panics
     ///
@@ -244,7 +262,7 @@ impl GraphAttention {
     /// or if `pooled.len() != out_dim`.
     pub fn pooled_embedding(
         &self,
-        reference: &GatReference,
+        reference: Option<&GatReference>,
         features: &Matrix,
         neighbors: &[Vec<usize>],
         pooled: &mut [f64],
@@ -252,41 +270,48 @@ impl GraphAttention {
         let n = features.rows();
         check_graph(features, neighbors, self.in_dim());
         assert_eq!(pooled.len(), self.out_dim(), "pooled width mismatch");
-        // A reference of another size shares no rows: everything is dirty.
-        let comparable = reference.features.shape() == features.shape();
+        // A reference of another size shares no rows: embed from scratch.
+        let reference = reference.filter(|r| r.features.shape() == features.shape());
 
-        // Projection-dirty rows: feature row differs bitwise. `slot[j]`
-        // is row j's index into the recomputed projections.
+        // `slot[j]` is row j's index into the projections computed here,
+        // or CLEAN when the reference's row is reused: without a reference
+        // every row is projected in place; with one, only the rows whose
+        // features differ bitwise.
         const CLEAN: usize = usize::MAX;
-        let mut slot = vec![CLEAN; n];
-        let mut dirty = Vec::new();
-        for (j, s) in slot.iter_mut().enumerate() {
-            let same = comparable
-                && features
-                    .row(j)
-                    .iter()
-                    .zip(reference.features.row(j))
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-            if !same {
-                *s = dirty.len();
-                dirty.push(j);
+        let (slot, (h, q, k)) = match reference {
+            None => ((0..n).collect::<Vec<_>>(), self.project(features)),
+            Some(reference) => {
+                let mut slot = vec![CLEAN; n];
+                let mut dirty = Vec::new();
+                for (j, s) in slot.iter_mut().enumerate() {
+                    let same = features
+                        .row(j)
+                        .iter()
+                        .zip(reference.features.row(j))
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                    if !same {
+                        *s = dirty.len();
+                        dirty.push(j);
+                    }
+                }
+                let mut sub = Matrix::zeros(dirty.len(), self.in_dim());
+                for (r, &j) in dirty.iter().enumerate() {
+                    sub.row_mut(r).copy_from_slice(features.row(j));
+                }
+                (slot, self.project(&sub))
             }
-        }
-        let mut sub = Matrix::zeros(dirty.len(), self.in_dim());
-        for (r, &j) in dirty.iter().enumerate() {
-            sub.row_mut(r).copy_from_slice(features.row(j));
-        }
-        let (h, q, k) = self.project(&sub);
+        };
+        let clean = || reference.expect("only a reference leaves rows clean");
         let h_row = |j: usize| match slot[j] {
-            CLEAN => reference.h.row(j),
+            CLEAN => clean().h.row(j),
             s => h.row(s),
         };
         let q_row = |j: usize| match slot[j] {
-            CLEAN => reference.q.row(j),
+            CLEAN => clean().q.row(j),
             s => q.row(s),
         };
         let k_row = |j: usize| match slot[j] {
-            CLEAN => reference.k.row(j),
+            CLEAN => clean().k.row(j),
             s => k.row(s),
         };
 
@@ -295,16 +320,18 @@ impl GraphAttention {
         let mut alpha = Vec::new();
         pooled.fill(0.0);
         for (i, nbrs) in neighbors.iter().enumerate() {
-            let recompute = !comparable
-                || slot[i] != CLEAN
-                || nbrs != &reference.neighbors[i]
-                || nbrs.iter().any(|&j| slot[j] != CLEAN);
-            if recompute {
-                row.fill(0.0);
-                attend_row(q_row(i), nbrs, k_row, h_row, scale, &mut alpha, &mut row);
-                kernel::add_assign(pooled, &row);
-            } else {
-                kernel::add_assign(pooled, reference.output.row(i));
+            let reused = reference.filter(|r| {
+                slot[i] == CLEAN
+                    && nbrs == &r.neighbors[i]
+                    && nbrs.iter().all(|&j| slot[j] == CLEAN)
+            });
+            match reused {
+                Some(r) => kernel::add_assign(pooled, r.output.row(i)),
+                None => {
+                    row.fill(0.0);
+                    attend_row(q_row(i), nbrs, k_row, h_row, scale, &mut alpha, &mut row);
+                    kernel::add_assign(pooled, &row);
+                }
             }
         }
         kernel::scale_assign(pooled, 1.0 / n as f64);
@@ -993,7 +1020,7 @@ mod tests {
         edited[(0, 1)] += 0.5;
         let reference = gat.reference(&base, &ring);
         let mut pooled = vec![0.0; 5];
-        gat.pooled_embedding(&reference, &edited, &ring, &mut pooled);
+        gat.pooled_embedding(Some(&reference), &edited, &ring, &mut pooled);
         let want = gat
             .clone()
             .forward(&edited, &ring)
@@ -1002,6 +1029,14 @@ mod tests {
         for (a, b) in pooled.iter().zip(want.row(0)) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "backward called before forward")]
+    fn clone_does_not_copy_the_tape() {
+        let mut gat = GraphAttention::new(2, 3, 2, &mut Initializer::new(0));
+        let y = gat.forward(&Initializer::new(1).normal(3, 2, 1.0), &ring_neighbors(3));
+        gat.clone().backward(&y);
     }
 
     #[test]

@@ -58,7 +58,9 @@ impl Param {
 
 /// A differentiable computation stage.
 ///
-/// `forward` caches whatever `backward` needs; `backward` consumes the
+/// `infer` is the layer's one forward arithmetic routine; `forward` runs
+/// it and also records the tape (cached activations) `backward` needs,
+/// so the two return bitwise the same output. `backward` consumes the
 /// gradient of the loss with respect to the layer output and returns the
 /// gradient with respect to the layer *input* (this input gradient is what
 /// the GON generation loop ascends) while accumulating parameter gradients.
@@ -69,7 +71,11 @@ impl Param {
 /// matmul kernel accumulates every output element over ascending `k`
 /// regardless of how many rows share the call.
 pub trait Layer {
-    /// Computes the layer output for `input` and caches activations.
+    /// Computes the layer output for `input` without recording anything:
+    /// the inference path, for callers that never backpropagate.
+    fn infer(&self, input: &Matrix) -> Matrix;
+
+    /// [`Layer::infer`] plus the tape: caches what `backward` needs.
     fn forward(&mut self, input: &Matrix) -> Matrix;
 
     /// Backpropagates `grad_output`, accumulating parameter gradients and
@@ -128,11 +134,13 @@ pub trait Layer {
     /// Clones the layer behind a fresh box — what lets [`Sequential`]
     /// (and every model built on it) be `Clone`, so batched candidate
     /// evaluation can hand each worker thread its own model replica.
+    /// A clone is a replica for another forward: it copies the
+    /// parameters but not the tape of this layer's last `forward`.
     fn clone_boxed(&self) -> Box<dyn Layer + Send + Sync>;
 }
 
 /// Fully connected layer: `Y = X·W + b`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct Dense {
     weight: Param,
     bias: Param,
@@ -190,11 +198,27 @@ impl Dense {
     }
 }
 
+impl Clone for Dense {
+    /// Copies the parameters and the `Wᵀ` derived from them, not the tape.
+    fn clone(&self) -> Self {
+        Self {
+            weight: self.weight.clone(),
+            bias: self.bias.clone(),
+            cached_input: None,
+            cached_wt: self.cached_wt.clone(),
+        }
+    }
+}
+
 impl Layer for Dense {
-    fn forward(&mut self, input: &Matrix) -> Matrix {
-        let out = input
+    fn infer(&self, input: &Matrix) -> Matrix {
+        input
             .matmul(&self.weight.value)
-            .add_row_broadcast(&self.bias.value);
+            .add_row_broadcast(&self.bias.value)
+    }
+
+    fn forward(&mut self, input: &Matrix) -> Matrix {
+        let out = self.infer(input);
         self.cached_input = Some(input.clone());
         out
     }
@@ -315,7 +339,7 @@ impl ActivationKind {
 }
 
 /// Stateless activation layer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct Activation {
     kind: ActivationKind,
     #[serde(skip)]
@@ -344,9 +368,20 @@ impl Activation {
     }
 }
 
+impl Clone for Activation {
+    /// Copies the kind, not the tape.
+    fn clone(&self) -> Self {
+        Self::new(self.kind)
+    }
+}
+
 impl Layer for Activation {
+    fn infer(&self, input: &Matrix) -> Matrix {
+        input.map(|v| self.kind.apply(v))
+    }
+
     fn forward(&mut self, input: &Matrix) -> Matrix {
-        let out = input.map(|v| self.kind.apply(v));
+        let out = self.infer(input);
         self.cached = Some((input.clone(), out.clone()));
         out
     }
@@ -437,6 +472,15 @@ impl Sequential {
 }
 
 impl Layer for Sequential {
+    fn infer(&self, input: &Matrix) -> Matrix {
+        match self.layers.split_first() {
+            None => input.clone(),
+            Some((first, rest)) => rest
+                .iter()
+                .fold(first.infer(input), |x, layer| layer.infer(&x)),
+        }
+    }
+
     fn forward(&mut self, input: &Matrix) -> Matrix {
         let mut x = input.clone();
         for layer in &mut self.layers {
@@ -597,6 +641,30 @@ mod tests {
     }
 
     #[test]
+    fn infer_is_bit_identical_to_forward() {
+        let mut init = Initializer::new(12);
+        let mut net = Sequential::new();
+        net.push(Dense::new(5, 9, &mut init));
+        net.push(Activation::relu());
+        net.push(Dense::new(9, 4, &mut init));
+        net.push(Activation::tanh());
+        net.push(Dense::new(4, 1, &mut init));
+        net.push(Activation::sigmoid());
+        let x = Initializer::new(13).normal(11, 5, 1.3);
+        let inferred = net.infer(&x);
+        let taped = net.clone().forward(&x);
+        assert_eq!(inferred.shape(), taped.shape());
+        for (a, b) in inferred.data().iter().zip(taped.data()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "infer diverged from forward");
+        }
+        assert_eq!(
+            Sequential::new().infer(&x),
+            x,
+            "an empty stack is the identity"
+        );
+    }
+
+    #[test]
     fn backward_input_is_bit_identical_and_grad_free() {
         let mut init = Initializer::new(3);
         let mut net = Sequential::new();
@@ -718,6 +786,18 @@ mod tests {
         for p in net.params_mut() {
             assert!(p.grad.data().iter().all(|&g| g == 0.0));
         }
+    }
+
+    /// A replica is for another forward: it does not inherit the tape.
+    #[test]
+    #[should_panic(expected = "backward called before forward")]
+    fn clone_does_not_copy_the_tape() {
+        let mut init = Initializer::new(5);
+        let mut net = Sequential::new();
+        net.push(Dense::new(3, 4, &mut init));
+        net.push(Activation::tanh());
+        let y = net.forward(&Initializer::new(6).normal(2, 3, 1.0));
+        net.clone().backward(&y);
     }
 
     #[test]

@@ -346,18 +346,19 @@ impl Matrix {
     }
 
     /// Adds `row` (1×cols) to every row of `self` — the bias broadcast.
+    /// Consumes `self` and adds in place: every caller broadcasts onto a
+    /// product it has just computed, so no copy is needed.
     ///
     /// # Panics
     ///
     /// Panics unless `row` is `1 × self.cols()`.
-    pub fn add_row_broadcast(&self, row: &Matrix) -> Matrix {
+    pub fn add_row_broadcast(mut self, row: &Matrix) -> Matrix {
         assert_eq!(row.rows, 1, "broadcast source must be a row vector");
         assert_eq!(row.cols, self.cols, "broadcast width mismatch");
-        let mut out = self.clone();
         for r in 0..self.rows {
-            crate::kernel::add_assign(&mut out.data[r * self.cols..(r + 1) * self.cols], &row.data);
+            crate::kernel::add_assign(self.row_mut(r), &row.data);
         }
-        out
+        self
     }
 
     /// Sums each column into a 1×cols row vector — the bias-gradient

@@ -1,6 +1,7 @@
-//! Incremental GAT embedding against a reference graph: every candidate
-//! reachable by node-shift moves and feature edits must pool bit-for-bit
-//! like a full forward.
+//! Pooled GAT embeddings without a tape: the cache-free inference forward
+//! and the incremental embedding against a reference graph must both pool
+//! bit-for-bit like a full forward, on every candidate reachable by
+//! node-shift moves and feature edits.
 
 use edgesim::Topology;
 use nn::init::Initializer;
@@ -29,8 +30,39 @@ fn pooled_against(
 ) -> Vec<f64> {
     let reference = gat.reference(base_features, base_neighbors);
     let mut pooled = vec![f64::NAN; OUT_DIM];
-    gat.pooled_embedding(&reference, features, neighbors, &mut pooled);
+    gat.pooled_embedding(Some(&reference), features, neighbors, &mut pooled);
     pooled
+}
+
+fn pooled_cache_free(
+    gat: &GraphAttention,
+    features: &Matrix,
+    neighbors: &[Vec<usize>],
+) -> Vec<f64> {
+    let mut pooled = vec![f64::NAN; OUT_DIM];
+    gat.pooled_embedding(None, features, neighbors, &mut pooled);
+    pooled
+}
+
+/// Applies a chain of promote/demote/reassign moves to `topo`, one draw
+/// per move encoding the kind and both operands; invalid moves are
+/// skipped.
+fn apply_moves(topo: &mut Topology, ops: &[usize]) {
+    let n_hosts = topo.len();
+    for &op in ops {
+        let host = (op / 3) % n_hosts;
+        let target = (op / 3 / n_hosts) % n_hosts;
+        let _ = match op % 3 {
+            0 => topo.promote(host),
+            1 => {
+                for w in topo.workers_of(host).to_vec() {
+                    topo.reassign(w, target).ok();
+                }
+                topo.demote(host, target)
+            }
+            _ => topo.reassign(host, target),
+        };
+    }
 }
 
 fn assert_bits_eq(got: &[f64], want: &Matrix) -> Result<(), TestCaseError> {
@@ -78,21 +110,7 @@ proptest! {
         let mut base_neighbors = base_topo.gat_neighbors();
 
         let mut topo = base_topo.clone();
-        for op in ops {
-            // One draw encodes the move kind and both operands.
-            let host = (op / 3) % n_hosts;
-            let target = (op / 3 / n_hosts) % n_hosts;
-            let _ = match op % 3 {
-                0 => topo.promote(host),
-                1 => {
-                    for w in topo.workers_of(host).to_vec() {
-                        topo.reassign(w, target).ok();
-                    }
-                    topo.demote(host, target)
-                }
-                _ => topo.reassign(host, target),
-            };
-        }
+        apply_moves(&mut topo, &ops);
         let mut features = base_features.clone();
         set_role_columns(&mut features, &topo);
         for e in edits {
@@ -119,6 +137,51 @@ proptest! {
         let same = pooled_against(&gat, &base_features, &base_neighbors, &base_features, &base_neighbors);
         assert_bits_eq(&same, &pooled_by_forward(&gat, &base_features, &base_neighbors))?;
     }
+
+    /// The cache-free forward (no reference) over `balanced(n, k)` graphs
+    /// after random move chains, including one-node graphs and emptied
+    /// neighbour lists, equals forward + mean-pool bit for bit.
+    #[test]
+    fn cache_free_pool_matches_full_forward(
+        n_hosts in 1usize..40,
+        n_brokers in 1usize..8,
+        seed in 0u64..1 << 16,
+        ops in proptest::collection::vec(0usize..1 << 20, 0..12),
+        isolate in proptest::collection::vec(0usize..1 << 20, 0..3),
+    ) {
+        prop_assume!(n_brokers <= n_hosts);
+        let gat = GraphAttention::new(IN_DIM, OUT_DIM, ATT_DIM, &mut Initializer::new(seed));
+        let mut topo = Topology::balanced(n_hosts, n_brokers).unwrap();
+        apply_moves(&mut topo, &ops);
+        let mut features = Initializer::new(seed ^ 0xfeed).normal(n_hosts, IN_DIM, 1.0);
+        set_role_columns(&mut features, &topo);
+        let mut neighbors = topo.gat_neighbors();
+        for x in isolate {
+            neighbors[x % n_hosts].clear();
+        }
+        let got = pooled_cache_free(&gat, &features, &neighbors);
+        assert_bits_eq(&got, &pooled_by_forward(&gat, &features, &neighbors))?;
+    }
+}
+
+/// The cache-free forward on the smallest graphs: one node with and
+/// without its self-loop, and a graph where no node has a neighbour.
+#[test]
+fn cache_free_pool_handles_single_and_isolated_nodes() {
+    let gat = GraphAttention::new(IN_DIM, OUT_DIM, ATT_DIM, &mut Initializer::new(8));
+    let one = Initializer::new(9).normal(1, IN_DIM, 1.0);
+    let three = Initializer::new(10).normal(3, IN_DIM, 1.0);
+    for (features, neighbors) in [
+        (&one, vec![vec![0]]),
+        (&one, vec![vec![]]),
+        (&three, vec![vec![], vec![], vec![]]),
+    ] {
+        let got = pooled_cache_free(&gat, features, &neighbors);
+        let want = pooled_by_forward(&gat, features, &neighbors);
+        for (a, b) in got.iter().zip(want.row(0)) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{neighbors:?}");
+        }
+    }
 }
 
 /// A reference of another size shares no rows; the candidate is
@@ -132,7 +195,12 @@ fn reference_of_another_size_embeds_from_scratch() {
     let big_features = Initializer::new(5).normal(9, IN_DIM, 1.0);
     let reference = gat.reference(&small_features, &small.gat_neighbors());
     let mut pooled = vec![0.0; OUT_DIM];
-    gat.pooled_embedding(&reference, &big_features, &big.gat_neighbors(), &mut pooled);
+    gat.pooled_embedding(
+        Some(&reference),
+        &big_features,
+        &big.gat_neighbors(),
+        &mut pooled,
+    );
     let want = pooled_by_forward(&gat, &big_features, &big.gat_neighbors());
     for (a, b) in pooled.iter().zip(want.row(0)) {
         assert_eq!(a.to_bits(), b.to_bits());

@@ -41,11 +41,10 @@ fn testbed_state() -> SystemState {
     )
 }
 
-/// A snapshot of the `aiot-1024` federation shape (1024 hosts, 64 LEIs,
-/// AIoTBench arrivals at the registry's 0.45 tasks/host/interval) after
-/// five intervals.
-fn aiot_1024_state() -> SystemState {
-    let (n_hosts, n_brokers) = (1024, 64);
+/// A snapshot of an `aiot-N` federation shape (`n_hosts` hosts,
+/// `n_brokers` LEIs, AIoTBench arrivals at the registry's 0.45
+/// tasks/host/interval) after five intervals.
+fn aiot_state(n_hosts: usize, n_brokers: usize) -> SystemState {
     let mut sim = Simulator::new(SimConfig::federation(n_hosts, n_brokers, 7));
     let mut sched = LeastLoadScheduler::new();
     let rate = 0.45 * n_hosts as f64;
@@ -75,7 +74,7 @@ fn bench_gon(c: &mut Criterion) {
     c.bench_function("gon_confidence_16_hosts", |b| {
         b.iter(|| black_box(model.confidence(black_box(&state))))
     });
-    let state_1024 = aiot_1024_state();
+    let state_1024 = aiot_state(1024, 64);
     c.bench_function("gon_confidence_1024_hosts", |b| {
         b.iter(|| black_box(model.confidence(black_box(&state_1024))))
     });
@@ -312,6 +311,37 @@ fn bench_gon_batch(c: &mut Criterion) {
         b.iter(|| {
             let total: f64 = model
                 .generate_batch(black_box(&candidates))
+                .iter()
+                .map(|g| g.confidence)
+                .sum();
+            black_box(total)
+        })
+    });
+
+    // The repair engine's real chunk: 16 node-shift candidates of an
+    // aiot-256 snapshot, scored by the service-tier GON against the
+    // snapshot's GAT reference.
+    let base = aiot_state(256, 16);
+    let candidates: Vec<SystemState> = mutations(&base.topology, &[])
+        .into_iter()
+        .take(16)
+        .map(|t| base.with_topology(&t))
+        .collect();
+    let mut model = GonModel::new(GonConfig {
+        hidden: 16,
+        head_layers: 2,
+        gat_dim: 8,
+        gat_att: 4,
+        gen_lr: 5e-3,
+        gen_steps: 5,
+        gen_tol: 1e-7,
+        seed: 5,
+    });
+    let reference = model.gat_reference(&base);
+    c.bench_function("gon_generate_16x256_batched", |b| {
+        b.iter(|| {
+            let total: f64 = model
+                .generate_batch_against(black_box(&candidates), &reference)
                 .iter()
                 .map(|g| g.confidence)
                 .sum();

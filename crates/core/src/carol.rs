@@ -13,6 +13,7 @@ use par::EngineConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::thread::JoinHandle;
 use workloads::trace::{generate_trace, TraceConfig};
 use workloads::BenchmarkSuite;
@@ -493,14 +494,21 @@ impl Carol {
     pub fn batch_objective<'a>(&'a mut self, base: &'a SystemState) -> CarolObjective<'a> {
         // Install first: the reference must see the weights that score.
         self.install_pending_tune();
-        let batched_gon =
-            self.config.batch_eval && matches!(self.config.variant, CarolVariant::Gon);
-        let reference = batched_gon.then(|| self.gon.gat_reference(base));
+        let reference = self.gat_reference(base).map(Cow::Owned);
         CarolObjective {
             carol: self,
             base,
             reference,
         }
+    }
+
+    /// The GAT reference of `base` under the current weights, which the
+    /// batched GON engine scores candidates against (`None` for every
+    /// other engine).
+    fn gat_reference(&self, base: &SystemState) -> Option<GatReference> {
+        let batched_gon =
+            self.config.batch_eval && matches!(self.config.variant, CarolVariant::Gon);
+        batched_gon.then(|| self.gon.gat_reference(base))
     }
 
     /// Freezes the full controller state — config, GON weights (via
@@ -654,19 +662,20 @@ impl std::fmt::Display for CarolCheckpointError {
 impl std::error::Error for CarolCheckpointError {}
 
 /// Borrowed view of a [`Carol`] as a batched tabu objective: candidates
-/// are scored against a fixed `base` snapshot. Built by
-/// [`Carol::batch_objective`], one per tabu search.
+/// are scored against a fixed `base` snapshot. Built once per tabu
+/// search, by [`Carol::batch_objective`] or by the repair path.
 pub struct CarolObjective<'a> {
     carol: &'a mut Carol,
     base: &'a SystemState,
-    /// GAT reference of `base` (batched GON engine only).
-    reference: Option<GatReference>,
+    /// GAT reference of `base` (batched GON engine only), owned, or
+    /// shared by every search of one [`Carol::repair`].
+    reference: Option<Cow<'a, GatReference>>,
 }
 
 impl tabu::BatchObjective for CarolObjective<'_> {
     fn score_batch(&mut self, candidates: &[Topology]) -> Vec<f64> {
         self.carol
-            .score_candidates(self.base, self.reference.as_ref(), candidates)
+            .score_candidates(self.base, self.reference.as_deref(), candidates)
     }
 }
 
@@ -695,6 +704,10 @@ impl ResiliencePolicy for Carol {
             .filter_map(|(h, st)| st.failed.then_some(h))
             .collect();
 
+        // Every search below scores against the same snapshot and weights
+        // (the pending tune is installed above), so they share one
+        // reference.
+        let reference = self.gat_reference(snapshot);
         let mut topo = sim.topology().clone();
         // Two passes in host order. A worker-less failed broker repaired
         // before any live broker exists has an empty neighbourhood and
@@ -713,7 +726,12 @@ impl ResiliencePolicy for Carol {
                 // scoring the whole neighbourhood through the batched
                 // surrogate engine.
                 let tabu_cfg = self.config.tabu.clone();
-                let result = tabu::search(topo, &banned, &tabu_cfg, self.batch_objective(snapshot));
+                let objective = CarolObjective {
+                    carol: self,
+                    base: snapshot,
+                    reference: reference.as_ref().map(Cow::Borrowed),
+                };
+                let result = tabu::search(topo, &banned, &tabu_cfg, objective);
                 self.last_repair_score = Some(result.best_score);
                 topo = result.best;
             }

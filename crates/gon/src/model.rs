@@ -3,7 +3,7 @@
 use edgesim::state::{SystemState, GRAPH_DIM, METRIC_DIM, SCHED_DIM};
 use nn::init::Initializer;
 use nn::kernel;
-use nn::layer::{Activation, Dense, Layer, Param, Sequential};
+use nn::layer::{Activation, ActivationKind, Dense, Layer, Param, Sequential};
 use nn::{GatReference, GraphAttention, Matrix};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -102,7 +102,10 @@ pub struct Generated {
 #[derive(Clone)]
 pub struct GonModel {
     config: GonConfig,
-    ms_encoder: Sequential,
+    /// The `[M | S]` encoder of eq. 3, `ReLU(X·W + b)`, held as its two
+    /// layers so the eq.-1 ascent can run on the dense weights directly.
+    ms_dense: Dense,
+    ms_relu: Activation,
     gat: GraphAttention,
     head: Sequential,
 }
@@ -123,9 +126,7 @@ impl GonModel {
     /// Builds the network from a configuration.
     pub fn new(config: GonConfig) -> Self {
         let mut init = Initializer::new(config.seed);
-        let mut ms_encoder = Sequential::new();
-        ms_encoder.push(Dense::new(METRIC_DIM + SCHED_DIM, config.hidden, &mut init));
-        ms_encoder.push(Activation::relu());
+        let ms_dense = Dense::new(METRIC_DIM + SCHED_DIM, config.hidden, &mut init);
 
         let gat = GraphAttention::new(GRAPH_DIM, config.gat_dim, config.gat_att, &mut init);
 
@@ -141,7 +142,8 @@ impl GonModel {
 
         Self {
             config,
-            ms_encoder,
+            ms_dense,
+            ms_relu: Activation::relu(),
             gat,
             head,
         }
@@ -154,12 +156,12 @@ impl GonModel {
 
     /// Total scalar parameter count.
     pub fn param_count(&self) -> usize {
-        self.ms_encoder.param_count() + self.gat.param_count() + self.head.param_count()
+        self.ms_dense.param_count() + self.gat.param_count() + self.head.param_count()
     }
 
     /// All trainable parameters, for the optimizer.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = self.ms_encoder.params_mut();
+        let mut p = self.ms_dense.params_mut();
         p.extend(self.gat.params_mut());
         p.extend(self.head.params_mut());
         p
@@ -192,6 +194,20 @@ impl GonModel {
         g
     }
 
+    /// Taped `[M | S]` encoder forward: `ReLU(X·W + b)`, recording what
+    /// the encoder backward reads.
+    fn encode(&mut self, x: &Matrix) -> Matrix {
+        let z = self.ms_dense.forward(x);
+        self.ms_relu.forward(&z)
+    }
+
+    /// Encoder backward after [`GonModel::encode`], accumulating the
+    /// dense layer's parameter gradients per segment, in segment order.
+    fn encoder_backward_batch(&mut self, g: &Matrix, segments: &[(usize, usize)]) -> Matrix {
+        let g = self.ms_relu.backward_batch(g, segments);
+        self.ms_dense.backward_batch(&g, segments)
+    }
+
     /// Forward pass: `D(M, S, G; θ) ∈ [0, 1]`. This is the training
     /// forward: it records the tape [`GonModel::backward`] reads. To only
     /// read the score, use [`GonModel::confidence`].
@@ -210,7 +226,8 @@ impl GonModel {
     /// [`GraphAttention::pooled_embedding`] without a reference.
     pub fn confidence(&self, state: &SystemState) -> f64 {
         let n = state.n_hosts();
-        let e = self.ms_encoder.infer(&Self::ms_input(state)); // [n × hidden]
+        let z = self.ms_dense.infer(&Self::ms_input(state));
+        let e = self.ms_relu.infer(&z); // [n × hidden]
         let e_ms = Self::pool_segments(&e, &[(0, n)]);
         let mut e_g = Matrix::zeros(1, self.config.gat_dim);
         self.gat.pooled_embedding(
@@ -225,7 +242,7 @@ impl GonModel {
     fn forward_internal(&mut self, state: &SystemState) -> f64 {
         let n = state.n_hosts() as f64;
         let x = Self::ms_input(state);
-        let e = self.ms_encoder.forward(&x); // [n × hidden]
+        let e = self.encode(&x); // [n × hidden]
         let e_ms = e.sum_rows().scale(1.0 / n); // mean-pool → [1 × hidden]
 
         let gfeat = Self::graph_input(state);
@@ -259,7 +276,7 @@ impl GonModel {
             }
         }
 
-        let dx = self.ms_encoder.backward(&g_ms);
+        let dx = self.ms_dense.backward(&self.ms_relu.backward(&g_ms));
         let _dgraph = self.gat.backward(&g_g); // graph features are inputs too
         let (d_metrics, _d_sched) = dx.hsplit(METRIC_DIM);
         d_metrics
@@ -432,7 +449,7 @@ impl GonModel {
     fn forward_batch_internal(&mut self, states: &[&SystemState]) -> (Matrix, Vec<(usize, usize)>) {
         let x = Self::stacked_ms(states);
         let segments = Self::segments(states);
-        let e = self.ms_encoder.forward(&x); // [Σn × hidden]
+        let e = self.encode(&x); // [Σn × hidden]
         let e_ms = Self::pool_segments(&e, &segments); // [B × hidden]
         let e_g = self.graph_embeddings(states, &segments, None);
         let z = self.head.forward(&e_ms.hcat(&e_g)); // [B × 1]
@@ -449,41 +466,6 @@ impl GonModel {
         self.forward_batch_internal(&refs).0.into_vec()
     }
 
-    /// Input-metric gradient of the batched score: one `grad_scores` entry
-    /// per segment (`dL/dD` for that candidate), returning the stacked
-    /// `Σn × METRIC_DIM` gradient. Parameter gradients are left untouched
-    /// — the generation loop discards them anyway, which is what lets
-    /// this path skip the `Wᵀ`-rebuild and grad-accumulation work the
-    /// serial [`GonModel::backward`] pays per candidate.
-    fn backward_metrics_batch(
-        &mut self,
-        segments: &[(usize, usize)],
-        grad_scores: &[f64],
-    ) -> Matrix {
-        debug_assert_eq!(segments.len(), grad_scores.len());
-        let g = Matrix::from_vec(grad_scores.len(), 1, grad_scores.to_vec());
-        let g_head = self.head.backward_input(&g); // [B × hidden + gat_dim]
-        let (g_ms_pooled, _g_g_pooled) = g_head.hsplit(self.config.hidden);
-
-        // Mean-pool backward: each host row of candidate b gets grad / n.
-        let total: usize = segments.iter().map(|&(_, n)| n).sum();
-        let mut g_ms = Matrix::zeros(total, self.config.hidden);
-        for (b, &(offset, n)) in segments.iter().enumerate() {
-            let nf = n as f64;
-            for h in 0..n {
-                for c in 0..self.config.hidden {
-                    g_ms[(offset + h, c)] = g_ms_pooled[(b, c)] / nf;
-                }
-            }
-        }
-        // The GAT branch is skipped entirely: its backward contributes
-        // nothing to the metric gradient (graph features are a separate
-        // input), matching the serial path where its output is discarded.
-        let dx = self.ms_encoder.backward_input(&g_ms);
-        let (d_metrics, _d_sched) = dx.hsplit(METRIC_DIM);
-        d_metrics
-    }
-
     /// Batched [`GonModel::generate`]: runs every candidate's eq.-1 ascent
     /// in lock-step, with per-candidate convergence. Candidates that
     /// overshoot or plateau drop out of the ascent (their recorded best is
@@ -491,12 +473,15 @@ impl GonModel {
     /// to mapping `generate` over the batch: per-candidate trajectories
     /// are row-independent through every layer.
     ///
-    /// Two structural savings over the serial loop, both bit-neutral:
-    /// the graph branch (GAT + pool) sees only graph features and
-    /// adjacency — constant across eq.-1 steps — so its pooled embedding
-    /// is computed **once per batch** instead of once per step per
-    /// candidate; and the stacked `[M | S]` input is built once, with
-    /// only the metric columns rewritten between steps.
+    /// Structural savings over a per-step taped forward/backward, all
+    /// bit-neutral: the graph branch (GAT + pool) sees only graph
+    /// features and adjacency — constant across eq.-1 steps — so its
+    /// pooled embedding is computed **once per batch** instead of once
+    /// per step per candidate; and each step runs fused over buffers
+    /// allocated once per call — one encoder forward + pool pass, and a
+    /// backward that computes only the metric columns — with only the
+    /// metric columns of the stacked `[M | S]` input rewritten between
+    /// steps.
     pub fn generate_batch(&mut self, states: &[SystemState]) -> Vec<Generated> {
         self.generate_batch_impl(states, None, false)
     }
@@ -543,10 +528,10 @@ impl GonModel {
             return Vec::new();
         }
         let refs: Vec<&SystemState> = states.iter().collect();
-        let mut x = Self::stacked_ms(&refs);
         let segments = Self::segments(&refs);
         // Constant across steps.
         let e_g = self.graph_embeddings(&refs, &segments, reference);
+        let mut ascent = Ascent::new(self, &refs, &e_g);
 
         let mut flats: Vec<Vec<f64>> = states.iter().map(|s| s.metrics_flat()).collect();
         let mut outs: Vec<Generated> = flats
@@ -567,12 +552,7 @@ impl GonModel {
             if n_active == 0 {
                 break;
             }
-            // Forward: stopped candidates' rows ride along unused — they
-            // cannot perturb active rows (row independence), and one
-            // rectangular matmul beats re-stacking the batch every step.
-            let e = self.ms_encoder.forward(&x);
-            let e_ms = Self::pool_segments(&e, &segments);
-            let scores = self.head.forward(&e_ms.hcat(&e_g)); // [B × 1]
+            let scores = self.ascent_scores(&mut ascent, &segments, &active); // [B × 1]
 
             let mut grads = vec![0.0; b];
             for i in 0..b {
@@ -594,45 +574,46 @@ impl GonModel {
                     n_active -= 1;
                 } else {
                     prev[i] = score;
-                    // ∇_M log D = (1/D) ∇_M D; stopped rows keep a zero
-                    // grad, so their d_metrics rows are never applied.
+                    // ∇_M log D = (1/D) ∇_M D.
                     grads[i] = 1.0 / score.max(1e-9);
                 }
             }
             if n_active == 0 {
                 break; // every remaining candidate stopped this step
             }
-            let d_metrics = self.backward_metrics_batch(&segments, &grads);
+            self.ascent_metric_grads(&mut ascent, &segments, &grads, &active);
             for i in 0..b {
                 if !active[i] {
                     continue;
                 }
                 let (offset, n) = segments[i];
                 let flat = &mut flats[i];
-                // The candidate's d_metrics rows are contiguous (METRIC_DIM
+                // The candidate's gradient rows are contiguous (METRIC_DIM
                 // columns), so the whole eq.-1 step + clamp is one
                 // elementwise kernel call.
                 kernel::ascent_update(
                     flat,
-                    &d_metrics.data()[offset * METRIC_DIM..(offset + n) * METRIC_DIM],
+                    &ascent.d[offset * METRIC_DIM..(offset + n) * METRIC_DIM],
                     self.config.gen_lr,
                 );
                 for h in 0..n {
                     // Refresh the metric columns of the stacked input.
-                    x.row_mut(offset + h)[..METRIC_DIM]
+                    ascent.x.row_mut(offset + h)[..METRIC_DIM]
                         .copy_from_slice(&flat[h * METRIC_DIM..(h + 1) * METRIC_DIM]);
                 }
             }
         }
 
-        // gen_steps == 0: score the untouched warm start, as `generate`
-        // does in its fallback.
-        if outs.iter().any(|o| o.confidence == f64::NEG_INFINITY) {
-            let e = self.ms_encoder.forward(&x);
-            let e_ms = Self::pool_segments(&e, &segments);
-            let scores = self.head.forward(&e_ms.hcat(&e_g));
+        // gen_steps == 0 (or a candidate whose every score was NaN):
+        // score the current metrics, as `generate` does in its fallback.
+        let unscored: Vec<bool> = outs
+            .iter()
+            .map(|o| o.confidence == f64::NEG_INFINITY)
+            .collect();
+        if unscored.contains(&true) {
+            let scores = self.ascent_scores(&mut ascent, &segments, &unscored);
             for (i, out) in outs.iter_mut().enumerate() {
-                if out.confidence == f64::NEG_INFINITY {
+                if unscored[i] {
                     out.confidence = scores[(i, 0)];
                 }
             }
@@ -644,6 +625,106 @@ impl GonModel {
             self.zero_grad();
         }
         outs
+    }
+
+    /// One eq.-1 forward over the ascent buffers: returns the `B × 1`
+    /// scores, of which only the rows of `live` candidates are fresh.
+    ///
+    /// Per live candidate, the encoder pre-activations `Z = X·W + b` are
+    /// written into the reused `z` rows by the kernel
+    /// [`Matrix::matmul`] runs, and each row is bias-added, rectified and
+    /// pooled in one pass — the ascending-row chain of
+    /// [`GonModel::pool_segments`], then one multiply by `1/n`. So every
+    /// pooled row is bitwise what the taped `encode` + pool produces.
+    /// Stopped candidates' rows are skipped: no live row reads them. The
+    /// head runs taped over all `B` rows, for
+    /// [`GonModel::ascent_metric_grads`].
+    fn ascent_scores(
+        &mut self,
+        ascent: &mut Ascent,
+        segments: &[(usize, usize)],
+        live: &[bool],
+    ) -> Matrix {
+        let hidden = self.config.hidden;
+        let in_dim = METRIC_DIM + SCHED_DIM;
+        let (w, bias) = (self.ms_dense.weight().data(), self.ms_dense.bias().data());
+        for (b, &(offset, n)) in segments.iter().enumerate() {
+            if !live[b] {
+                continue;
+            }
+            let z = &mut ascent.z[offset * hidden..(offset + n) * hidden];
+            z.fill(0.0);
+            let x = &ascent.x.data()[offset * in_dim..(offset + n) * in_dim];
+            kernel::matmul_into(z, x, w, n, in_dim, hidden);
+            let pooled = &mut ascent.head_in.row_mut(b)[..hidden];
+            pooled.fill(0.0);
+            for z_row in z.chunks_exact_mut(hidden) {
+                kernel::add_assign(z_row, bias);
+                for (p, &v) in pooled.iter_mut().zip(z_row.iter()) {
+                    *p += ActivationKind::Relu.apply(v);
+                }
+            }
+            kernel::scale_assign(pooled, 1.0 / n as f64);
+        }
+        self.head.forward(&ascent.head_in)
+    }
+
+    /// The metric gradient of the last [`GonModel::ascent_scores`], into
+    /// `ascent.d` for the `live` candidates, given `dL/dD` per candidate.
+    /// Parameter gradients are left untouched.
+    ///
+    /// The taped backward computes `dX = (G ∘ relu'(Z))·Wᵀ` with
+    /// `G[h, j] = gp[j] = g_head[b, j] / n`, and keeps the metric columns.
+    /// Each kept element is the matmul kernel's chain
+    /// `d[h, k] = Σ_j (ascending, a ≠ 0) a·Wᵀ[j, k]` with
+    /// `a = gp[j]·relu'(z[h, j])`. Only the `METRIC_DIM` columns are
+    /// computed here, and `a` takes one of two values per `j`: `gp[j]`
+    /// exactly where relu' = 1, and `gp[j]·0.0` (±0, or NaN for a
+    /// non-finite `gp[j]`) otherwise. So both candidate rows
+    /// `a·Wᵀ[j, ·]` are built once per candidate, with `+0.0` where the
+    /// kernel's zero-skip drops `a`. Adding `+0.0` is the same as
+    /// skipping: the chain starts at `+0.0` and, rounding to nearest, can
+    /// never reach `-0.0`, the one value `+0.0` would change.
+    fn ascent_metric_grads(
+        &mut self,
+        ascent: &mut Ascent,
+        segments: &[(usize, usize)],
+        grad_scores: &[f64],
+        live: &[bool],
+    ) {
+        let hidden = self.config.hidden;
+        let g = Matrix::from_vec(grad_scores.len(), 1, grad_scores.to_vec());
+        let g_head = self.head.backward_input(&g); // [B × hidden + gat_dim]
+        for (b, &(offset, n)) in segments.iter().enumerate() {
+            if !live[b] {
+                continue;
+            }
+            let nf = n as f64;
+            let candidate_rows = ascent.rows.chunks_exact_mut(2 * METRIC_DIM);
+            for ((rows, wt), &g_pooled) in candidate_rows
+                .zip(ascent.wt_m.chunks_exact(METRIC_DIM))
+                .zip(&g_head.row(b)[..hidden])
+            {
+                let gp = g_pooled / nf;
+                let (off, on) = rows.split_at_mut(METRIC_DIM);
+                scaled_row(off, gp * 0.0, wt);
+                scaled_row(on, gp, wt);
+            }
+            let z = &ascent.z[offset * hidden..(offset + n) * hidden];
+            let d = &mut ascent.d[offset * METRIC_DIM..(offset + n) * METRIC_DIM];
+            let mut z_blocks = z.chunks_exact(4 * hidden);
+            let mut d_blocks = d.chunks_exact_mut(4 * METRIC_DIM);
+            for (z4, d4) in (&mut z_blocks).zip(&mut d_blocks) {
+                metric_grad_rows::<4>(z4, &ascent.rows, d4);
+            }
+            let (z_rest, d_rest) = (z_blocks.remainder(), d_blocks.into_remainder());
+            for (z1, d1) in z_rest
+                .chunks_exact(hidden)
+                .zip(d_rest.chunks_exact_mut(METRIC_DIM))
+            {
+                metric_grad_rows::<1>(z1, &ascent.rows, d1);
+            }
+        }
     }
 
     /// Batched [`GonModel::backward`] after a batched forward: given one
@@ -681,7 +762,7 @@ impl GonModel {
             }
         }
 
-        let dx = self.ms_encoder.backward_batch(&g_ms, segments);
+        let dx = self.encoder_backward_batch(&g_ms, segments);
         let _dgraph = self.gat.backward_batch(&g_g, segments); // graph features are inputs too
         let (d_metrics, _d_sched) = dx.hsplit(METRIC_DIM);
         d_metrics
@@ -789,7 +870,7 @@ impl GonModel {
         }
         let x = Self::stacked_ms(&combined);
         let segments = Self::segments(&combined);
-        let e = self.ms_encoder.forward(&x); // [Σ2n × hidden]
+        let e = self.encode(&x); // [Σ2n × hidden]
         let e_ms = Self::pool_segments(&e, &segments); // [2B × hidden]
         let scores = self.head.forward(&e_ms.hcat(&e_g)); // [2B × 1]
 
@@ -832,7 +913,7 @@ impl GonModel {
                 }
             }
         }
-        self.ms_encoder.backward_batch(&g_ms, &segments);
+        self.encoder_backward_batch(&g_ms, &segments);
         self.gat.backward_interleaved(&g_g, &real_segments);
         losses
     }
@@ -853,6 +934,83 @@ impl GonModel {
                 (alpha * q_energy + beta * q_slo, gen.confidence)
             })
             .collect()
+    }
+}
+
+/// The buffers of one batched eq.-1 ascent, allocated once per
+/// [`GonModel::generate_batch`]-family call and rewritten in place by
+/// every step.
+struct Ascent {
+    /// Stacked `[M | S]` input rows (`Σn × (METRIC_DIM + SCHED_DIM)`);
+    /// only the metric columns change between steps.
+    x: Matrix,
+    /// Encoder pre-activations `X·W + b` (`Σn × hidden`, row-major).
+    z: Vec<f64>,
+    /// Head input (`B × (hidden + gat_dim)`): each candidate's pooled
+    /// encoder row, then its step-invariant pooled graph embedding.
+    head_in: Matrix,
+    /// The metric columns of the encoder's `Wᵀ` (`hidden × METRIC_DIM`).
+    wt_m: Vec<f64>,
+    /// Per hidden unit `j`, the two rows a host row can add to its metric
+    /// gradient — for relu' = 0, then relu' = 1 (`hidden × 2·METRIC_DIM`);
+    /// rebuilt per candidate.
+    rows: Vec<f64>,
+    /// Metric gradient rows (`Σn × METRIC_DIM`).
+    d: Vec<f64>,
+}
+
+impl Ascent {
+    fn new(model: &GonModel, states: &[&SystemState], e_g: &Matrix) -> Self {
+        let hidden = model.config.hidden;
+        let total: usize = states.iter().map(|s| s.n_hosts()).sum();
+        let mut head_in = Matrix::zeros(states.len(), hidden + model.config.gat_dim);
+        for b in 0..states.len() {
+            head_in.row_mut(b)[hidden..].copy_from_slice(e_g.row(b));
+        }
+        let w = model.ms_dense.weight();
+        let mut wt_m = vec![0.0; hidden * METRIC_DIM];
+        for (j, wt_row) in wt_m.chunks_exact_mut(METRIC_DIM).enumerate() {
+            for (k, v) in wt_row.iter_mut().enumerate() {
+                *v = w[(k, j)];
+            }
+        }
+        Self {
+            x: GonModel::stacked_ms(states),
+            z: vec![0.0; total * hidden],
+            head_in,
+            wt_m,
+            rows: vec![0.0; hidden * 2 * METRIC_DIM],
+            d: vec![0.0; total * METRIC_DIM],
+        }
+    }
+}
+
+/// `out = a·wt`, or `+0.0` throughout where the matmul kernel's
+/// zero-skip would drop `a`.
+fn scaled_row(out: &mut [f64], a: f64, wt: &[f64]) {
+    for (o, &w) in out.iter_mut().zip(wt) {
+        *o = if a == 0.0 { 0.0 } else { a * w };
+    }
+}
+
+/// Metric gradient rows of `R` host rows at once (see
+/// [`GonModel::ascent_metric_grads`]): `d[r][k] = Σ_j rows[j][relu'(z[r][j])][k]`,
+/// each element one ascending-`j` chain from `+0.0`. The `R` rows'
+/// chains are independent, which hides the add latency.
+fn metric_grad_rows<const R: usize>(z: &[f64], rows: &[f64], d: &mut [f64]) {
+    let hidden = z.len() / R;
+    let mut acc = [[0.0f64; METRIC_DIM]; R];
+    for j in 0..hidden {
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            let on = usize::from(z[r * hidden + j] > 0.0);
+            let src = &rows[(2 * j + on) * METRIC_DIM..(2 * j + on + 1) * METRIC_DIM];
+            for (a, &v) in acc_r.iter_mut().zip(src) {
+                *a += v;
+            }
+        }
+    }
+    for (d_row, acc_r) in d.chunks_exact_mut(METRIC_DIM).zip(&acc) {
+        d_row.copy_from_slice(acc_r);
     }
 }
 
@@ -1101,6 +1259,276 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "candidate {i}: metrics diverged");
             }
         }
+    }
+
+    /// The taped input-metric gradient the fused ascent replaced: head
+    /// and encoder `backward_input` over the pool-backward rows, metric
+    /// columns kept.
+    fn backward_metrics_batch(
+        model: &mut GonModel,
+        segments: &[(usize, usize)],
+        grad_scores: &[f64],
+    ) -> Matrix {
+        let hidden = model.config.hidden;
+        let g = Matrix::from_vec(grad_scores.len(), 1, grad_scores.to_vec());
+        let g_head = model.head.backward_input(&g); // [B × hidden + gat_dim]
+        let (g_ms_pooled, _g_g_pooled) = g_head.hsplit(hidden);
+        // Mean-pool backward: each host row of candidate b gets grad / n.
+        let total: usize = segments.iter().map(|&(_, n)| n).sum();
+        let mut g_ms = Matrix::zeros(total, hidden);
+        for (b, &(offset, n)) in segments.iter().enumerate() {
+            let nf = n as f64;
+            for h in 0..n {
+                for c in 0..hidden {
+                    g_ms[(offset + h, c)] = g_ms_pooled[(b, c)] / nf;
+                }
+            }
+        }
+        let g_ms = model.ms_relu.backward_input(&g_ms);
+        let dx = model.ms_dense.backward_input(&g_ms);
+        dx.hsplit(METRIC_DIM).0
+    }
+
+    /// The taped batched eq.-1 ascent the fused one replaced — per step a
+    /// taped encoder forward over every stacked row, pool, head forward,
+    /// then [`backward_metrics_batch`] — kept as the fused path's oracle.
+    fn generate_batch_taped(
+        model: &mut GonModel,
+        states: &[SystemState],
+        reference: Option<&GatReference>,
+    ) -> Vec<Generated> {
+        let b = states.len();
+        let refs: Vec<&SystemState> = states.iter().collect();
+        let mut x = GonModel::stacked_ms(&refs);
+        let segments = GonModel::segments(&refs);
+        let e_g = model.graph_embeddings(&refs, &segments, reference);
+        let mut flats: Vec<Vec<f64>> = states.iter().map(|s| s.metrics_flat()).collect();
+        let mut outs: Vec<Generated> = flats
+            .iter()
+            .map(|f| Generated {
+                metrics_flat: f.clone(),
+                confidence: f64::NEG_INFINITY,
+                iterations: 0,
+            })
+            .collect();
+        let mut prev = vec![f64::NEG_INFINITY; b];
+        let mut active = vec![true; b];
+        let mut n_active = b;
+        let tol = model.config.gen_tol * (model.config.gen_lr / 1e-3).max(1e-6);
+        for it in 0..model.config.gen_steps {
+            if n_active == 0 {
+                break;
+            }
+            let e = model.encode(&x);
+            let e_ms = GonModel::pool_segments(&e, &segments);
+            let scores = model.head.forward(&e_ms.hcat(&e_g));
+            let mut grads = vec![0.0; b];
+            for i in 0..b {
+                if !active[i] {
+                    continue;
+                }
+                let score = scores[(i, 0)];
+                if score > outs[i].confidence {
+                    outs[i].confidence = score;
+                    outs[i].metrics_flat = flats[i].clone();
+                }
+                outs[i].iterations = it + 1;
+                let overshoot = score < prev[i];
+                let plateaued = it > 0 && score - prev[i] < tol;
+                if overshoot || plateaued {
+                    active[i] = false;
+                    n_active -= 1;
+                } else {
+                    prev[i] = score;
+                    grads[i] = 1.0 / score.max(1e-9);
+                }
+            }
+            if n_active == 0 {
+                break;
+            }
+            let d_metrics = backward_metrics_batch(model, &segments, &grads);
+            for i in 0..b {
+                if !active[i] {
+                    continue;
+                }
+                let (offset, n) = segments[i];
+                let flat = &mut flats[i];
+                kernel::ascent_update(
+                    flat,
+                    &d_metrics.data()[offset * METRIC_DIM..(offset + n) * METRIC_DIM],
+                    model.config.gen_lr,
+                );
+                for h in 0..n {
+                    x.row_mut(offset + h)[..METRIC_DIM]
+                        .copy_from_slice(&flat[h * METRIC_DIM..(h + 1) * METRIC_DIM]);
+                }
+            }
+        }
+        if outs.iter().any(|o| o.confidence == f64::NEG_INFINITY) {
+            let e = model.encode(&x);
+            let e_ms = GonModel::pool_segments(&e, &segments);
+            let scores = model.head.forward(&e_ms.hcat(&e_g));
+            for (i, out) in outs.iter_mut().enumerate() {
+                if out.confidence == f64::NEG_INFINITY {
+                    out.confidence = scores[(i, 0)];
+                }
+            }
+        }
+        outs
+    }
+
+    /// The first bitwise difference between two generation results.
+    fn first_difference(want: &[Generated], got: &[Generated]) -> Option<String> {
+        if want.len() != got.len() {
+            return Some(format!("{} results vs {}", want.len(), got.len()));
+        }
+        for (i, (a, b)) in want.iter().zip(got).enumerate() {
+            if a.confidence.to_bits() != b.confidence.to_bits() {
+                return Some(format!(
+                    "candidate {i}: confidence {} vs {}",
+                    a.confidence, b.confidence
+                ));
+            }
+            if a.iterations != b.iterations {
+                return Some(format!(
+                    "candidate {i}: iterations {} vs {}",
+                    a.iterations, b.iterations
+                ));
+            }
+            let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+            if bits(&a.metrics_flat) != bits(&b.metrics_flat) {
+                return Some(format!("candidate {i}: metrics diverged"));
+            }
+        }
+        None
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The fused ascent against the taped oracle, bit for bit, over
+        /// hidden widths that are and are not multiples of the kernel
+        /// tiles, head depths 1–3, both step sizes, mixed host counts,
+        /// metrics on the clamp bounds and one non-finite metric, with and
+        /// without a GAT reference.
+        #[test]
+        fn fused_ascent_is_bit_identical_to_taped_oracle(
+            // Hidden width × head depth × step size, 3 × 3 × 2 ways.
+            shape in 0usize..18,
+            sizes in proptest::collection::vec(2usize..20, 1..5),
+            metrics in proptest::collection::vec(-0.25f64..1.25, 20 * METRIC_DIM),
+            poison in 0usize..4,
+            seed in 0u64..1 << 16,
+        ) {
+            let config = GonConfig {
+                hidden: [12, 24, 128][shape % 3],
+                head_layers: 1 + shape / 3 % 3,
+                gat_dim: 8,
+                gat_att: 4,
+                gen_lr: [1e-3, 1e-2][shape / 9],
+                gen_steps: 12,
+                gen_tol: 1e-7,
+                seed,
+            };
+            let base = test_state(sizes[0], (sizes[0] / 4).max(1), 0.4);
+            let mut promoted = base.topology.clone();
+            let _ = promoted.promote(seed as usize % sizes[0]);
+            let mut states = vec![base.clone(), base.with_topology(&promoted)];
+            states.extend(
+                sizes[1..]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &n)| test_state(n, (n / 3).max(1), 0.2 * i as f64)),
+            );
+            // Metrics drawn past both bounds and clamped: many sit exactly
+            // on 0 or 1, where the ascent's clamp holds them.
+            for (c, state) in states.iter_mut().enumerate() {
+                for h in 0..state.n_hosts() {
+                    for k in 0..METRIC_DIM {
+                        let v = metrics[(c * 7 + h * METRIC_DIM + k) % metrics.len()];
+                        state.metrics[h][k] = v.clamp(0.0, 1.0);
+                    }
+                }
+            }
+            if poison > 0 {
+                let c = (seed as usize / 7) % states.len();
+                let h = (seed as usize / 3) % states[c].n_hosts();
+                states[c].metrics[h][seed as usize % METRIC_DIM] =
+                    [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][poison - 1];
+            }
+
+            let mut model = GonModel::new(config);
+            let reference = model.gat_reference(&base);
+            for r in [None, Some(&reference)] {
+                let want = generate_batch_taped(&mut model.clone(), &states, r);
+                let got = model.generate_batch_impl(&states, r, false);
+                let diff = first_difference(&want, &got);
+                proptest::prop_assert!(diff.is_none(), "reference {}: {diff:?}", r.is_some());
+            }
+        }
+    }
+
+    #[test]
+    fn fused_ascent_matches_oracle_with_zero_steps_and_one_host() {
+        let mut model = GonModel::new(GonConfig {
+            gen_steps: 0,
+            ..small_config()
+        });
+        let states = vec![test_state(1, 1, 0.7), test_state(5, 2, 0.2)];
+        let want = generate_batch_taped(&mut model.clone(), &states, None);
+        assert_eq!(
+            first_difference(&want, &model.generate_batch(&states)),
+            None
+        );
+    }
+
+    /// A non-finite head gradient reaches rows whose every unit is
+    /// rectified: the taped backward multiplies it by relu' = 0 and adds
+    /// the NaN products, so the fused path must too.
+    #[test]
+    fn non_finite_gradient_propagates_through_rectified_rows() {
+        let mut model = GonModel::new(small_config());
+        // Every finite row rectifies to zero; an infinite metric does not.
+        model.params_mut()[1].value.data_mut().fill(-1e3);
+        let mut poisoned = test_state(6, 2, 0.5);
+        poisoned.metrics[2][0] = f64::INFINITY;
+        let states = vec![test_state(4, 2, 0.3), poisoned];
+        let want = generate_batch_taped(&mut model.clone(), &states, None);
+        assert!(
+            want[1].metrics_flat.iter().any(|v| v.is_nan()),
+            "the fixture must drive a NaN gradient into the metrics"
+        );
+        assert_eq!(
+            first_difference(&want, &model.generate_batch(&states)),
+            None
+        );
+    }
+
+    #[test]
+    fn generate_batch_nograd_leaves_accumulated_gradients_bit_identical() {
+        let mut model = GonModel::new(small_config());
+        let states = mixed_batch();
+        // Accumulate non-zero parameter gradients first.
+        let _ = model.score(&states[0]);
+        model.backward(states[0].n_hosts(), 0.7);
+        let before: Vec<Vec<u64>> = model
+            .params_mut()
+            .iter()
+            .map(|p| p.grad.data().iter().map(|g| g.to_bits()).collect())
+            .collect();
+        assert!(before.iter().flatten().any(|&g| f64::from_bits(g) != 0.0));
+        let got = model.generate_batch_nograd(&states);
+        let after: Vec<Vec<u64>> = model
+            .params_mut()
+            .iter()
+            .map(|p| p.grad.data().iter().map(|g| g.to_bits()).collect())
+            .collect();
+        assert_eq!(
+            before, after,
+            "the no-grad ascent touched parameter gradients"
+        );
+        let want = generate_batch_taped(&mut model.clone(), &states, None);
+        assert_eq!(first_difference(&want, &got), None);
     }
 
     #[test]

@@ -196,6 +196,11 @@ impl Dense {
     pub fn weight(&self) -> &Matrix {
         &self.weight.value
     }
+
+    /// Read-only view of the `1 × out_dim` bias row.
+    pub fn bias(&self) -> &Matrix {
+        &self.bias.value
+    }
 }
 
 impl Clone for Dense {

@@ -9,7 +9,6 @@ use edgesim::{HostId, IntervalReport, NodeRole, SimConfig, Simulator, Topology};
 use gon::surrogates::{FeedForwardSurrogate, GanSurrogate};
 use gon::{train_offline, GonCheckpoint, GonConfig, GonModel, TrainConfig};
 use nn::{Adam, GatReference};
-use par::EngineConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -63,12 +62,8 @@ pub struct CarolConfig {
     pub pretrain_intervals: usize,
     /// Simulator configuration used to generate the pre-training trace.
     pub pretrain_sim: SimConfig,
-    /// Score repair candidates through the batched surrogate engine
-    /// (stacked network forwards, fanned out on [`par`]). `false` keeps
-    /// the pre-batching one-candidate-at-a-time reference path; both are
-    /// bit-identical (gated by `tests/determinism.rs`).
-    pub batch_eval: bool,
-    /// Worker threads for batched candidate evaluation. `None` uses
+    /// Worker threads repair candidates are scored on (stacked network
+    /// forwards, chunks fanned out on [`par`]). `None` uses
     /// [`par::thread_count`] (the `CAROL_THREADS` override); tests pin
     /// explicit counts here instead of mutating the environment.
     pub eval_threads: Option<usize>,
@@ -86,7 +81,6 @@ impl Default for CarolConfig {
             offline: TrainConfig::default(),
             pretrain_intervals: 120,
             pretrain_sim: SimConfig::testbed(0),
-            batch_eval: true,
             eval_threads: None,
         }
     }
@@ -122,25 +116,6 @@ impl CarolConfig {
             pretrain_sim: SimConfig::small(8, 2, 0),
             ..Default::default()
         }
-    }
-
-    /// The candidate-evaluation engine this config selects. The legacy
-    /// `batch_eval` / `eval_threads` fields are thin views of a
-    /// [`par::EngineConfig`]; all thread resolution goes through
-    /// [`par::EngineConfig::worker_count`].
-    pub fn engine(&self) -> EngineConfig {
-        EngineConfig {
-            batched: self.batch_eval,
-            threads: self.eval_threads,
-        }
-    }
-
-    /// Replaces the evaluation-engine selection with `engine`,
-    /// overwriting the `batch_eval` / `eval_threads` field pair.
-    pub fn with_engine(mut self, engine: EngineConfig) -> Self {
-        self.batch_eval = engine.batched;
-        self.eval_threads = engine.threads;
-        self
     }
 }
 
@@ -322,8 +297,14 @@ impl Carol {
         cost
     }
 
-    /// Surrogate objective Ω(G) for a candidate topology (lower = better).
-    fn objective(&mut self, base: &SystemState, candidate: &Topology) -> f64 {
+    /// Surrogate objective Ω(G) of one candidate topology (lower =
+    /// better) through a per-candidate full forward: the reference the
+    /// stacked engine behind [`Carol::batch_objective`] is bit-identical
+    /// to, and the entry point for extensions that score candidates
+    /// outside the failure path (e.g. [`crate::proactive::ProactiveCarol`]).
+    /// Charges the same modeled decision costs as the stacked engine.
+    pub fn objective_public(&mut self, base: &SystemState, candidate: &Topology) -> f64 {
+        self.install_pending_tune();
         self.surrogate_queries += 1;
         // Testbed-equivalent cost per surrogate query (DESIGN.md): the
         // GON pays per generation iteration below (γ and model depth
@@ -364,15 +345,6 @@ impl Carol {
             }
     }
 
-    /// Public wrapper around the surrogate objective, for extensions that
-    /// score candidates outside the failure path (e.g.
-    /// [`crate::proactive::ProactiveCarol`]). Charges the same modeled
-    /// decision costs as the internal path.
-    pub fn objective_public(&mut self, base: &SystemState, candidate: &Topology) -> f64 {
-        self.install_pending_tune();
-        self.objective(base, candidate)
-    }
-
     /// Candidates per stacked network forward. Small enough that chunks
     /// outnumber workers for parallel balance, large enough that the
     /// blocked matmul kernel amortises (16 candidates × 128 hosts = a
@@ -388,7 +360,7 @@ impl Carol {
 
     /// The engine behind every tabu iteration: scores `candidates`
     /// against `base`, the GON's graph branch embedded against
-    /// `reference` (required for the batched GON engine).
+    /// `reference` (required for the GON variant).
     ///
     /// Candidates are chunked into fixed-size batches, each batch runs as
     /// one stacked network forward (and, for the GON, one batched eq.-1
@@ -399,33 +371,28 @@ impl Carol {
     /// written to input-index slots, and the modeled decision-time costs
     /// are charged in candidate order afterwards — so the returned scores
     /// *and* every accumulator on `self` are bit-identical to calling the
-    /// serial [`Carol::objective_public`] per candidate, at any thread
-    /// count. With `batch_eval` off this simply runs the serial reference
-    /// path.
+    /// per-candidate [`Carol::objective_public`], at any thread count.
     fn score_candidates(
         &mut self,
         base: &SystemState,
         reference: Option<&GatReference>,
         candidates: &[Topology],
     ) -> Vec<f64> {
-        let engine = self.config.engine();
-        if !engine.batched {
-            return candidates.iter().map(|t| self.objective(base, t)).collect();
-        }
         if candidates.is_empty() {
             return Vec::new();
         }
-        let threads = engine.worker_count();
+        let threads = par::worker_count(self.config.eval_threads);
         let chunks: Vec<&[Topology]> = candidates.chunks(Self::SCORE_BATCH).collect();
         let (alpha, beta) = (self.config.alpha, self.config.beta);
 
         // Per-candidate (objective-without-transition, modeled decision
         // cost), computed in parallel; bookkeeping is replayed serially
-        // below so the f64 accumulation order matches the serial path.
+        // below so the f64 accumulation order matches the per-candidate
+        // path.
         let scored: Vec<Vec<(f64, f64)>> = match self.config.variant {
             CarolVariant::Gon => {
                 let gon = &self.gon;
-                let reference = reference.expect("the batched GON engine needs a GAT reference");
+                let reference = reference.expect("the GON variant scores against a GAT reference");
                 let depth_factor = self.config.gon.head_layers.max(1) as f64 / 3.0;
                 par::par_map_threads(threads, &chunks, |chunk| {
                     let mut model = gon.clone();
@@ -435,11 +402,11 @@ impl Carol {
                         .generate_batch_against(&probes, reference)
                         .into_iter()
                         .map(|gen| {
-                            // The serial path's `qos_components` of the
-                            // refined probe, read straight off `M*`.
+                            // The per-candidate path's `qos_components` of
+                            // the refined probe, read straight off `M*`.
                             let (qe, qs) = SystemState::qos_components_flat(&gen.metrics_flat);
                             // 0.08 ms per ascent iteration at the
-                            // reference depth, as in the serial path.
+                            // reference depth, as in the per-candidate path.
                             let cost = 8.0e-5 * depth_factor * gen.iterations as f64;
                             (alpha * qe + beta * qs, cost)
                         })
@@ -488,7 +455,7 @@ impl Carol {
     /// [`tabu::search`]; extensions like
     /// [`crate::proactive::ProactiveCarol`] use it the same way.
     ///
-    /// For the batched GON engine this builds the GAT reference of `base`
+    /// For the GON variant this builds the GAT reference of `base`
     /// once ([`GonModel::gat_reference`]); every candidate scored through
     /// the view is then embedded against it.
     pub fn batch_objective<'a>(&'a mut self, base: &'a SystemState) -> CarolObjective<'a> {
@@ -503,12 +470,10 @@ impl Carol {
     }
 
     /// The GAT reference of `base` under the current weights, which the
-    /// batched GON engine scores candidates against (`None` for every
-    /// other engine).
+    /// GON variant scores candidates against (`None` for the ablation
+    /// surrogates, which have no graph branch to share).
     fn gat_reference(&self, base: &SystemState) -> Option<GatReference> {
-        let batched_gon =
-            self.config.batch_eval && matches!(self.config.variant, CarolVariant::Gon);
-        batched_gon.then(|| self.gon.gat_reference(base))
+        matches!(self.config.variant, CarolVariant::Gon).then(|| self.gon.gat_reference(base))
     }
 
     /// Freezes the full controller state — config, GON weights (via
@@ -667,7 +632,7 @@ impl std::error::Error for CarolCheckpointError {}
 pub struct CarolObjective<'a> {
     carol: &'a mut Carol,
     base: &'a SystemState,
-    /// GAT reference of `base` (batched GON engine only), owned, or
+    /// GAT reference of `base` (GON variant only), owned, or
     /// shared by every search of one [`Carol::repair`].
     reference: Option<Cow<'a, GatReference>>,
 }
@@ -723,7 +688,7 @@ impl ResiliencePolicy for Carol {
                 // Algorithm 2 line 7: random node-shift seeds the search …
                 topo = random_shift(&topo, b, &banned, &mut self.rng);
                 // … line 8: tabu search over Ω(G; D, S, O), each iteration
-                // scoring the whole neighbourhood through the batched
+                // scoring the whole neighbourhood through the stacked
                 // surrogate engine.
                 let tabu_cfg = self.config.tabu.clone();
                 let objective = CarolObjective {
@@ -991,8 +956,8 @@ mod tests {
         assert_eq!(conf.threshold_history.len(), intervals);
     }
 
-    /// The batched objective — at any thread count — must agree with the
-    /// serial reference path bit-for-bit, on scores *and* on the policy's
+    /// The stacked objective — at any thread count — must agree with the
+    /// per-candidate `objective_public` oracle bit-for-bit, on scores *and* on the policy's
     /// bookkeeping accumulators, for every surrogate variant.
     #[test]
     fn objective_batch_is_bit_identical_to_serial_for_every_variant() {
@@ -1011,9 +976,9 @@ mod tests {
                     9,
                 )
             };
-            let mut serial = mk(1);
-            let mut batched_1 = mk(1);
-            let mut batched_4 = mk(4);
+            let mut oracle = mk(1);
+            let mut one = mk(1);
+            let mut four = mk(4);
 
             let mut sim = Simulator::new(SimConfig::small(12, 3, 9));
             let mut sched = LeastLoadScheduler::new();
@@ -1024,9 +989,9 @@ mod tests {
 
             let want: Vec<f64> = candidates
                 .iter()
-                .map(|t| serial.objective_public(&base, t))
+                .map(|t| oracle.objective_public(&base, t))
                 .collect();
-            for (label, policy) in [("1 thread", &mut batched_1), ("4 threads", &mut batched_4)] {
+            for (label, policy) in [("1 thread", &mut one), ("4 threads", &mut four)] {
                 let got = policy.objective_batch(&base, &candidates);
                 for (i, (a, b)) in want.iter().zip(&got).enumerate() {
                     assert_eq!(
@@ -1035,10 +1000,10 @@ mod tests {
                         "{variant:?}/{label}: candidate {i} diverged ({a} vs {b})"
                     );
                 }
-                assert_eq!(policy.surrogate_queries, serial.surrogate_queries);
+                assert_eq!(policy.surrogate_queries, oracle.surrogate_queries);
                 assert_eq!(
                     policy.modeled_decision_s.to_bits(),
-                    serial.modeled_decision_s.to_bits(),
+                    oracle.modeled_decision_s.to_bits(),
                     "{variant:?}/{label}: modeled decision time diverged"
                 );
             }
@@ -1047,9 +1012,9 @@ mod tests {
 
     /// The repair search's shape at scale: 64 hosts, a `random_shift`
     /// start, then sampled neighbourhoods two moves deep, so candidates
-    /// differ from `base` in several LEIs and the batched GON engine
+    /// differ from `base` in several LEIs and the stacked GON engine
     /// recomputes GAT rows in several places against its reference. It
-    /// must still match the serial full-forward path bit for bit.
+    /// must still match the per-candidate full-forward oracle bit for bit.
     #[test]
     fn objective_batch_matches_serial_on_multi_move_candidates_at_64_hosts() {
         let mk = |threads: usize| {
@@ -1061,9 +1026,9 @@ mod tests {
                 10,
             )
         };
-        let mut serial = mk(1);
-        let mut batched_1 = mk(1);
-        let mut batched_4 = mk(4);
+        let mut oracle = mk(1);
+        let mut one = mk(1);
+        let mut four = mk(4);
 
         let mut sim = Simulator::new(SimConfig::small(64, 8, 10));
         let mut sched = LeastLoadScheduler::new();
@@ -1092,9 +1057,9 @@ mod tests {
 
         let want: Vec<f64> = candidates
             .iter()
-            .map(|t| serial.objective_public(&base, t))
+            .map(|t| oracle.objective_public(&base, t))
             .collect();
-        for (label, policy) in [("1 thread", &mut batched_1), ("4 threads", &mut batched_4)] {
+        for (label, policy) in [("1 thread", &mut one), ("4 threads", &mut four)] {
             let got = policy.objective_batch(&base, &candidates);
             for (i, (a, b)) in want.iter().zip(&got).enumerate() {
                 assert_eq!(
@@ -1103,24 +1068,22 @@ mod tests {
                     "{label}: candidate {i} diverged ({a} vs {b})"
                 );
             }
-            assert_eq!(policy.surrogate_queries, serial.surrogate_queries);
+            assert_eq!(policy.surrogate_queries, oracle.surrogate_queries);
             assert_eq!(
                 policy.modeled_decision_s.to_bits(),
-                serial.modeled_decision_s.to_bits(),
+                oracle.modeled_decision_s.to_bits(),
                 "{label}: modeled decision time diverged"
             );
         }
     }
 
-    /// The training-engine switch mirrors `batch_eval`: a policy whose
-    /// GON was pretrained (and is fine-tuned) through the batched
-    /// adversarial engine behaves bit-identically to one trained through
-    /// the serial reference engine, at any worker count.
+    /// A policy whose GON was pretrained (and is fine-tuned) on four
+    /// training workers behaves bit-identically to one trained on a
+    /// single worker.
     #[test]
     fn batched_training_engine_builds_bit_identical_policies() {
-        let mk = |batch_train: bool, threads: usize| {
+        let mk = |threads: usize| {
             let mut config = CarolConfig::fast_test();
-            config.offline.batch_train = batch_train;
             config.offline.train_threads = Some(threads);
             Carol::pretrained(config, 8)
         };
@@ -1134,25 +1097,23 @@ mod tests {
             }
             policy
         };
-        let serial = run(mk(false, 1));
-        for threads in [1, 4] {
-            let batched = run(mk(true, threads));
+        let one = run(mk(1));
+        let four = run(mk(4));
+        assert_eq!(
+            four.fine_tune_intervals, one.fine_tune_intervals,
+            "fine-tune triggers diverged"
+        );
+        for (i, (a, b)) in one
+            .confidence_history
+            .iter()
+            .zip(&four.confidence_history)
+            .enumerate()
+        {
             assert_eq!(
-                batched.fine_tune_intervals, serial.fine_tune_intervals,
-                "{threads} workers: fine-tune triggers diverged"
+                a.to_bits(),
+                b.to_bits(),
+                "confidence at interval {i} diverged"
             );
-            for (i, (a, b)) in serial
-                .confidence_history
-                .iter()
-                .zip(&batched.confidence_history)
-                .enumerate()
-            {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{threads} workers: confidence at interval {i} diverged"
-                );
-            }
         }
     }
 

@@ -82,20 +82,20 @@ pub struct CheckpointSpec {
 /// use carol::service::ExperimentSpec;
 /// let spec = ExperimentSpec::named("paper-16", 7)
 ///     .unwrap()
-///     .with_engine(par::EngineConfig::batched(4));
+///     .with_engine(par::EngineConfig { threads: Some(4) });
 /// let back = ExperimentSpec::from_json(&spec.to_json()).unwrap();
 /// assert_eq!(back.scenario.name, "paper-16");
-/// assert_eq!(back.engine.worker_count(), 4);
+/// assert_eq!(back.carol_config().eval_threads, Some(4));
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExperimentSpec {
     /// Experiment shape: workload × federation × faults × scheduler.
     pub scenario: ScenarioSpec,
-    /// Candidate-evaluation engine (`CarolConfig::{batch_eval,
-    /// eval_threads}` view).
+    /// Repair candidate-scoring workers; `engine.threads` becomes
+    /// [`CarolConfig::eval_threads`].
     pub engine: EngineConfig,
     /// Offline-training / fine-tuning configuration, including the
-    /// training engine (`TrainConfig::{batch_train, train_threads}`).
+    /// training workers (`TrainConfig::train_threads`).
     pub train: TrainConfig,
     /// Checkpoint cadence and destination.
     pub checkpoint: CheckpointSpec,
@@ -120,7 +120,7 @@ impl ExperimentSpec {
         ScenarioSpec::named(name, seed).map(Self::new)
     }
 
-    /// Replaces the candidate-evaluation engine.
+    /// Replaces the candidate-scoring worker setting.
     pub fn with_engine(mut self, engine: EngineConfig) -> Self {
         self.engine = engine;
         self
@@ -150,7 +150,7 @@ impl ExperimentSpec {
 
     /// The full CAROL configuration this spec induces: the service-tier
     /// GON (the `scale` sweep's proven-fast shape) with this spec's
-    /// trainer and evaluation engine plugged in.
+    /// trainer and candidate-scoring workers plugged in.
     pub fn carol_config(&self) -> CarolConfig {
         CarolConfig {
             gon: GonConfig {
@@ -171,9 +171,9 @@ impl ExperimentSpec {
             offline: self.train.clone(),
             pretrain_intervals: 24,
             pretrain_sim: edgesim::SimConfig::small(8, 2, self.scenario.seed),
+            eval_threads: self.engine.threads,
             ..CarolConfig::default()
         }
-        .with_engine(self.engine)
     }
 }
 
@@ -793,7 +793,7 @@ mod tests {
     fn spec_named_registry_and_json_round_trip() {
         let spec = ExperimentSpec::named("paper-16", 7)
             .unwrap()
-            .with_engine(EngineConfig::batched(4))
+            .with_engine(EngineConfig { threads: Some(4) })
             .with_checkpoint(CheckpointSpec {
                 every: Some(10),
                 path: None,
@@ -801,7 +801,7 @@ mod tests {
         let back = ExperimentSpec::from_json(&spec.to_json()).unwrap();
         assert_eq!(back.scenario.name, "paper-16");
         assert_eq!(back.scenario.n_hosts, 16);
-        assert_eq!(back.engine, EngineConfig::batched(4));
+        assert_eq!(back.engine, EngineConfig { threads: Some(4) });
         assert_eq!(back.checkpoint.every, Some(10));
         assert_eq!(back.train.epochs, spec.train.epochs);
         assert!(ExperimentSpec::named("no-such-scenario", 7).is_none());

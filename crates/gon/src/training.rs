@@ -7,31 +7,26 @@
 //! an 80/20 train/test split, and early stopping on the held-out metric —
 //! convergence lands around 30 epochs (Fig. 4).
 //!
-//! Two engines produce **bit-identical** results (gradients, parameters,
-//! [`EpochStats`]) at any worker count:
+//! Every minibatch runs through one engine,
+//! [`GonModel::adversarial_step_batch`]: it converges every fake sample
+//! through the masked batched eq.-1 ascent (chunks fanned out over
+//! [`par`] worker threads holding model clones), then runs **one**
+//! stacked discriminator forward and **one** in-order per-segment
+//! gradient reduction for the whole minibatch. Because each fake is its
+//! real twin with only the metrics replaced, the stacked pass computes
+//! the step-invariant GAT embedding once per component and shares it
+//! across the real/fake halves — half the GAT cost of every training
+//! step, bit-neutral by construction.
 //!
-//! * the serial reference — [`adversarial_step`] mapped over each
-//!   minibatch, one state at a time;
-//! * the batched engine — [`GonModel::adversarial_step_batch`], which
-//!   converges every fake sample through the masked batched eq.-1 ascent
-//!   (chunks fanned out over [`par`] worker threads holding model
-//!   clones), then runs **one** stacked discriminator forward and **one**
-//!   in-order per-segment gradient reduction for the whole minibatch.
-//!   Because each fake is its real twin with only the metrics replaced,
-//!   the stacked pass computes the step-invariant GAT embedding once per
-//!   component and shares it across the real/fake halves — half the GAT
-//!   cost of every training step, bit-neutral by construction.
-//!
-//! [`TrainConfig::batch_train`] / [`TrainConfig::train_threads`] select
-//! the engine, mirroring the repair path's `CarolConfig::{batch_eval,
-//! eval_threads}`; `tests/determinism.rs` gates the equivalence at
-//! 64-host federations.
+//! Results (gradients, parameters, [`EpochStats`]) are **bit-identical**
+//! at any [`TrainConfig::train_threads`] worker count, and to mapping
+//! the per-state [`adversarial_step`] over the minibatch — the test
+//! oracle `tests/properties.rs` holds the engine to.
 
 use crate::model::GonModel;
 use edgesim::state::SystemState;
 use edgesim::state::METRIC_DIM;
 use nn::Adam;
-use par::EngineConfig;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -57,13 +52,7 @@ pub struct TrainConfig {
     pub weight_decay: f64,
     /// Shuffling / noise seed.
     pub seed: u64,
-    /// Run each minibatch through the batched adversarial engine
-    /// ([`GonModel::adversarial_step_batch`]: stacked forwards, batched
-    /// fake ascent, in-order gradient reduction). `false` keeps the
-    /// one-state-at-a-time reference path; both are bit-identical
-    /// (gated by `tests/determinism.rs`).
-    pub batch_train: bool,
-    /// Worker threads for the batched fake-sample ascent. `None` uses
+    /// Worker threads for the minibatch's fake-sample ascent. `None` uses
     /// [`par::thread_count`] (the `CAROL_THREADS` override); tests pin
     /// explicit counts here instead of mutating the environment.
     pub train_threads: Option<usize>,
@@ -79,30 +68,8 @@ impl Default for TrainConfig {
             lr: 1e-4,
             weight_decay: 1e-5,
             seed: 11,
-            batch_train: true,
             train_threads: None,
         }
-    }
-}
-
-impl TrainConfig {
-    /// The execution engine this config selects. The legacy
-    /// `batch_train` / `train_threads` fields are thin views of a
-    /// [`par::EngineConfig`]; all thread resolution goes through
-    /// [`par::EngineConfig::worker_count`].
-    pub fn engine(&self) -> EngineConfig {
-        EngineConfig {
-            batched: self.batch_train,
-            threads: self.train_threads,
-        }
-    }
-
-    /// Replaces the engine selection with `engine`, overwriting the
-    /// `batch_train` / `train_threads` field pair.
-    pub fn with_engine(mut self, engine: EngineConfig) -> Self {
-        self.batch_train = engine.batched;
-        self.train_threads = engine.threads;
-        self
     }
 }
 
@@ -119,9 +86,10 @@ pub struct EpochStats {
     pub confidence: f64,
 }
 
-/// One adversarial update on a single state — the serial reference the
-/// batched engine is bit-identical to. Returns the sample's BCE loss
-/// contribution and accumulates gradients into the model.
+/// One adversarial update on a single state: the test oracle that
+/// [`GonModel::adversarial_step_batch`] matches bit for bit when this is
+/// mapped over a minibatch. Returns the sample's BCE loss contribution
+/// and accumulates gradients into the model.
 ///
 /// The fake sample converges first, through the **configured** eq.-1
 /// ascent ([`GonModel::generate_nograd`]): the same `gen_steps`,
@@ -155,27 +123,6 @@ pub fn adversarial_step(model: &mut GonModel, state: &SystemState, rng: &mut Std
     let loss_real = -z_real.ln();
     let loss_fake = -(1.0 - z_fake).ln();
     loss_real + loss_fake
-}
-
-/// Runs one minibatch through the configured engine, returning per-sample
-/// losses. Both arms are bit-identical (same losses, same accumulated
-/// gradients, same RNG stream) — the batched arm is simply one stacked
-/// pass instead of `states.len()` serial ones.
-fn minibatch_losses(
-    model: &mut GonModel,
-    states: &[&SystemState],
-    rng: &mut StdRng,
-    config: &TrainConfig,
-) -> Vec<f64> {
-    let engine = config.engine();
-    if engine.batched {
-        model.adversarial_step_batch(states, rng, engine.worker_count())
-    } else {
-        states
-            .iter()
-            .map(|state| adversarial_step(model, state, rng))
-            .collect()
-    }
 }
 
 /// Evaluates MSE (generated vs. true metrics, warm-started from the true
@@ -256,6 +203,7 @@ pub fn train_offline(
     let mut best_metric = f64::INFINITY;
     let mut stale = 0usize;
 
+    let threads = par::worker_count(config.train_threads);
     let mut order: Vec<usize> = (0..train.len()).collect();
     for epoch in 0..config.epochs {
         order.shuffle(&mut rng);
@@ -263,7 +211,7 @@ pub fn train_offline(
         for chunk in order.chunks(config.minibatch.max(1)) {
             model.zero_grad();
             let states: Vec<&SystemState> = chunk.iter().map(|&i| &train[i]).collect();
-            let losses = minibatch_losses(model, &states, &mut rng, config);
+            let losses = model.adversarial_step_batch(&states, &mut rng, threads);
             let batch_loss: f64 = losses.iter().sum();
             // Average gradients over the minibatch.
             let scale = 1.0 / chunk.len() as f64;
@@ -307,9 +255,8 @@ pub fn train_offline(
 }
 
 /// Online fine-tuning on the running dataset Γ (Algorithm 2 line 15):
-/// a handful of adversarial minibatch steps over the freshest data,
-/// through the engine `config.batch_train` selects. Returns the mean loss
-/// across the pass.
+/// a handful of adversarial minibatch steps over the freshest data, on
+/// `config.train_threads` workers. Returns the mean loss across the pass.
 pub fn fine_tune(
     model: &mut GonModel,
     running: &[SystemState],
@@ -321,12 +268,13 @@ pub fn fine_tune(
         return 0.0;
     }
     let mut rng = StdRng::seed_from_u64(seed);
+    let threads = par::worker_count(config.train_threads);
     let mut total = 0.0;
     // One pass over Γ in minibatches of 8 (Γ is small between triggers).
     for chunk in running.chunks(8) {
         model.zero_grad();
         let states: Vec<&SystemState> = chunk.iter().collect();
-        let losses = minibatch_losses(model, &states, &mut rng, config);
+        let losses = model.adversarial_step_batch(&states, &mut rng, threads);
         let batch: f64 = losses.iter().sum();
         for p in model.params_mut() {
             p.grad = p.grad.scale(1.0 / chunk.len() as f64);
@@ -600,14 +548,14 @@ mod tests {
         assert_eq!(before, after, "evaluate disturbed accumulated gradients");
     }
 
-    /// The two training engines are bit-identical end to end: same
+    /// Training is bit-identical end to end across worker counts: same
     /// per-epoch stats, same final parameters, at 1 and 4 workers. The
     /// minibatch (24 train states) exceeds the 16-sample fake-ascent
     /// chunk, so multi-chunk fan-out and reassembly are exercised.
     #[test]
     fn batched_train_offline_matches_serial_bitwise() {
         let trace = tiny_trace(30);
-        let run = |batch_train: bool, threads: usize| {
+        let run = |threads: usize| {
             let mut model = tiny_model();
             let stats = train_offline(
                 &mut model,
@@ -617,7 +565,6 @@ mod tests {
                     minibatch: 32,
                     patience: 3,
                     lr: 3e-3,
-                    batch_train,
                     train_threads: Some(threads),
                     ..Default::default()
                 },
@@ -629,22 +576,20 @@ mod tests {
                 .collect();
             (stats, params)
         };
-        let (serial_stats, serial_params) = run(false, 1);
-        for (label, threads) in [("1 worker", 1), ("4 workers", 4)] {
-            let (stats, params) = run(true, threads);
-            assert_eq!(stats.len(), serial_stats.len(), "{label}: epoch counts");
-            for (a, b) in serial_stats.iter().zip(&stats) {
-                assert_eq!(a.epoch, b.epoch);
-                assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "{label}: loss diverged");
-                assert_eq!(a.mse.to_bits(), b.mse.to_bits(), "{label}: mse diverged");
-                assert_eq!(
-                    a.confidence.to_bits(),
-                    b.confidence.to_bits(),
-                    "{label}: confidence diverged"
-                );
-            }
-            assert_eq!(params, serial_params, "{label}: final parameters diverged");
+        let (one_stats, one_params) = run(1);
+        let (stats, params) = run(4);
+        assert_eq!(stats.len(), one_stats.len(), "epoch counts");
+        for (a, b) in one_stats.iter().zip(&stats) {
+            assert_eq!(a.epoch, b.epoch);
+            assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "loss diverged");
+            assert_eq!(a.mse.to_bits(), b.mse.to_bits(), "mse diverged");
+            assert_eq!(
+                a.confidence.to_bits(),
+                b.confidence.to_bits(),
+                "confidence diverged"
+            );
         }
+        assert_eq!(params, one_params, "final parameters diverged");
     }
 
     #[test]
@@ -659,16 +604,15 @@ mod tests {
         assert_ne!(before, after, "fine-tune must update parameters");
     }
 
-    /// `fine_tune` through the batched engine matches the serial engine
-    /// bit-for-bit — loss and resulting parameters — at 1 and 4 workers.
+    /// `fine_tune` is bit-identical across worker counts — loss and
+    /// resulting parameters — at 1 and 4 workers.
     #[test]
     fn batched_fine_tune_matches_serial_bitwise() {
         let trace = tiny_trace(12);
-        let run = |batch_train: bool, threads: usize| {
+        let run = |threads: usize| {
             let mut model = tiny_model();
             let mut adam = Adam::new(1e-3, 0.0);
             let config = TrainConfig {
-                batch_train,
                 train_threads: Some(threads),
                 ..Default::default()
             };
@@ -680,12 +624,10 @@ mod tests {
                 .collect();
             (loss, params)
         };
-        let (serial_loss, serial_params) = run(false, 1);
-        for threads in [1, 4] {
-            let (loss, params) = run(true, threads);
-            assert_eq!(loss.to_bits(), serial_loss.to_bits());
-            assert_eq!(params, serial_params);
-        }
+        let (one_loss, one_params) = run(1);
+        let (loss, params) = run(4);
+        assert_eq!(loss.to_bits(), one_loss.to_bits());
+        assert_eq!(params, one_params);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! the eq.-1 generative ascent. This module gives each of them a scalar
 //! reference implementation plus `std::arch` AVX2 (x86-64) and NEON
 //! (aarch64) paths, selected **once** at startup — mirroring how
-//! `CAROL_THREADS` resolves through `par::EngineConfig` — via the
+//! `CAROL_THREADS` resolves through `par::worker_count` — via the
 //! [`SIMD_ENV`] (`CAROL_SIMD=auto|scalar|avx2|neon`) override so CI can
 //! pin either path.
 //!

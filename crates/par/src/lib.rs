@@ -27,8 +27,9 @@
 //!
 //! This crate uses only scoped threads from `std` (borrowed inputs and
 //! closures need no `'static` bound) and depends only on the vendored
-//! serde stub, which [`EngineConfig`] — the engine-selection type every
-//! batched subsystem shares — derives its wire format from.
+//! serde stub, which [`EngineConfig`] — the experiment-level worker
+//! setting — derives its wire format from. [`worker_count`] is the one
+//! place an optional thread override meets `CAROL_THREADS`.
 
 #![warn(missing_docs)]
 
@@ -58,66 +59,35 @@ pub fn thread_count() -> usize {
     })
 }
 
-/// Shared execution-engine selection for every batched subsystem.
+/// Resolves a worker count: the explicit `threads` override if present
+/// (clamped to ≥ 1), otherwise [`thread_count`] (which consults
+/// `CAROL_THREADS`). This is the single env-resolution point for every
+/// engine in the workspace: candidate scoring (`CarolConfig::eval_threads`),
+/// training (`TrainConfig::train_threads`) and [`EngineConfig`].
+pub fn worker_count(threads: Option<usize>) -> usize {
+    threads.map(|n| n.max(1)).unwrap_or_else(thread_count)
+}
+
+/// The experiment-level engine setting: how many workers the repair
+/// engine fans candidate chunks out over.
 ///
-/// CAROL's surrogate evaluation (`CarolConfig`) and GON training
-/// (`TrainConfig`) each grew a `batched` flag and an optional thread
-/// override; this type unifies them so one value describes *how* work
-/// runs, and [`EngineConfig::worker_count`] is the **only** place the
-/// `CAROL_THREADS` environment override is resolved.
+/// There is one engine — stacked network forwards chunked over [`par_map`]
+/// workers — and it is bit-identical at every worker count, so the worker
+/// count is the only thing to choose; [`worker_count`] resolves it.
 ///
 /// # Examples
 ///
 /// ```
-/// let engine = par::EngineConfig::default();
-/// assert!(engine.batched);
-/// assert!(engine.worker_count() >= 1);
-/// assert_eq!(par::EngineConfig::serial().worker_count(), 1);
+/// let engine = par::EngineConfig { threads: Some(4) };
+/// assert_eq!(par::worker_count(engine.threads), 4);
+/// assert_eq!(par::worker_count(Some(0)), 1, "0 clamps to 1 worker");
+/// assert!(par::worker_count(par::EngineConfig::default().threads) >= 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineConfig {
-    /// Use the batched evaluation/training path (parallel inner loop).
-    pub batched: bool,
     /// Worker-thread override; `None` defers to `CAROL_THREADS` /
     /// available parallelism via [`thread_count`].
     pub threads: Option<usize>,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        Self {
-            batched: true,
-            threads: None,
-        }
-    }
-}
-
-impl EngineConfig {
-    /// Batched engine with an explicit pinned worker count (what tests
-    /// use to compare 1-vs-N bit identity without touching the
-    /// environment).
-    pub fn batched(threads: usize) -> Self {
-        Self {
-            batched: true,
-            threads: Some(threads.max(1)),
-        }
-    }
-
-    /// Fully serial engine: unbatched inner loops, one worker.
-    pub fn serial() -> Self {
-        Self {
-            batched: false,
-            threads: Some(1),
-        }
-    }
-
-    /// Resolves the effective worker count: the explicit `threads`
-    /// override if present, otherwise [`thread_count`] (which consults
-    /// `CAROL_THREADS`). This is the single env-resolution point for
-    /// every engine in the workspace.
-    pub fn worker_count(&self) -> usize {
-        self.threads.map(|n| n.max(1)).unwrap_or_else(thread_count)
-    }
 }
 
 /// Order-preserving parallel map over a slice with the default
@@ -257,30 +227,13 @@ mod tests {
 
     #[test]
     fn engine_config_defaults_and_helpers() {
-        let def = EngineConfig::default();
-        assert!(def.batched);
-        assert_eq!(def.threads, None);
-
-        let serial = EngineConfig::serial();
-        assert!(!serial.batched);
-        assert_eq!(serial.worker_count(), 1);
-
-        let pinned = EngineConfig::batched(4);
-        assert!(pinned.batched);
-        assert_eq!(pinned.worker_count(), 4);
+        assert_eq!(EngineConfig::default().threads, None);
+        assert_eq!(worker_count(None), thread_count());
+        assert_eq!(worker_count(Some(4)), 4);
         assert_eq!(
-            EngineConfig::batched(0).worker_count(),
+            worker_count(Some(0)),
             1,
-            "0 clamps to 1 worker"
-        );
-        assert_eq!(
-            EngineConfig {
-                batched: true,
-                threads: Some(0),
-            }
-            .worker_count(),
-            1,
-            "explicit Some(0) clamps too"
+            "explicit Some(0) clamps to 1 worker"
         );
     }
 

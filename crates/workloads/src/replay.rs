@@ -687,6 +687,30 @@ mod tests {
         assert!(stream.next().is_none(), "errors fuse the stream");
     }
 
+    /// A hostile line of 10 000 `[` is a typed `Malformed` error, not a
+    /// stack overflow, on a thread with the default 2 MiB spawn stack —
+    /// an overflow would abort the whole process, daemon included.
+    #[test]
+    fn deeply_nested_line_is_malformed_not_a_stack_overflow() {
+        let mut text = export_jsonl(&sample_events()[..1]);
+        text.push_str(&"[".repeat(10_000));
+        text.push('\n');
+        let err = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let mut stream = StreamingTrace::open(text.as_bytes()).unwrap();
+                assert!(stream.next().unwrap().is_ok());
+                stream.next().unwrap().unwrap_err()
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(
+            matches!(err, TraceError::Malformed { line: 3, .. }),
+            "{err:?}"
+        );
+    }
+
     #[test]
     fn streaming_trace_surfaces_io_errors() {
         #[derive(Debug)]

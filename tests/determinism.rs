@@ -167,16 +167,115 @@ fn trace_replay_is_bit_identical_across_runs() {
     assert_identical(&first.result, &second.result);
 }
 
-/// The batched repair engine's contract: tabu repair through the batched,
-/// parallel surrogate engine is bit-identical to the pre-batching
-/// one-candidate-at-a-time path — same repaired topology, same surrogate
-/// query count, same modeled decision time — at 64 and 128 hosts, on one
-/// worker and on four. Fixed candidate order and index-slotted batch
-/// results are what make this hold; this test is the tripwire.
+/// Drives `tabu::search` from one start topology twice per worker count:
+/// once through a test-side objective that maps the per-candidate
+/// `objective_public` full forward over each neighbourhood (the oracle),
+/// once through the stacked engine (`Carol::batch_objective`) on 1 and 4
+/// workers. Asserts the same topology, best score, evaluation count,
+/// surrogate query count and modeled decision time; then runs the full
+/// `repair()` on 1 and 4 workers and asserts the same. `mk(threads)`
+/// builds identically seeded policies that differ only in
+/// `eval_threads`. Returns the oracle search's surrogate query count.
+fn assert_repair_engine_matches_oracle(
+    label: &str,
+    sim: &edgesim::Simulator,
+    snapshot: &edgesim::state::SystemState,
+    mk: impl Fn(usize) -> Carol,
+) -> usize {
+    use carol::tabu;
+    use carol::ResiliencePolicy;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    // The repair path's own start: a random node-shift of the first
+    // failed broker, unresponsive hosts banned.
+    let banned: Vec<usize> = sim
+        .host_states()
+        .iter()
+        .enumerate()
+        .filter_map(|(h, st)| st.failed.then_some(h))
+        .collect();
+    let broker = sim.failed_brokers()[0];
+    let start = carol::nodeshift::random_shift(
+        sim.topology(),
+        broker,
+        &banned,
+        &mut StdRng::seed_from_u64(11),
+    );
+
+    let mut oracle = mk(1);
+    let tabu_cfg = oracle.config().tabu.clone();
+    let expected = tabu::search(
+        start.clone(),
+        &banned,
+        &tabu_cfg,
+        tabu::from_fn(|t| oracle.objective_public(snapshot, t)),
+    );
+    for threads in [1, 4] {
+        let mut policy = mk(threads);
+        let got = tabu::search(
+            start.clone(),
+            &banned,
+            &tabu_cfg,
+            policy.batch_objective(snapshot),
+        );
+        assert_eq!(
+            got.best, expected.best,
+            "{label} / {threads} workers: stacked search chose a different topology"
+        );
+        assert_eq!(
+            got.best_score.to_bits(),
+            expected.best_score.to_bits(),
+            "{label} / {threads} workers: winning objective diverged"
+        );
+        assert_eq!(got.evaluations, expected.evaluations);
+        assert_eq!(
+            policy.surrogate_queries, oracle.surrogate_queries,
+            "{label} / {threads} workers: query counts diverged"
+        );
+        assert_eq!(
+            policy.modeled_decision_s().to_bits(),
+            oracle.modeled_decision_s().to_bits(),
+            "{label} / {threads} workers: modeled decision time diverged"
+        );
+    }
+
+    let mut one = mk(1);
+    let mut four = mk(4);
+    let repaired = one
+        .repair(sim, snapshot)
+        .expect("failure must produce a repair");
+    repaired.validate().unwrap();
+    assert_eq!(
+        four.repair(sim, snapshot)
+            .expect("failure must produce a repair"),
+        repaired,
+        "{label}: repair on 4 workers chose a different topology"
+    );
+    assert_eq!(four.surrogate_queries, one.surrogate_queries);
+    assert_eq!(
+        four.modeled_decision_s().to_bits(),
+        one.modeled_decision_s().to_bits(),
+        "{label}: repair modeled decision time diverged"
+    );
+    assert_eq!(
+        four.last_repair_score.map(f64::to_bits),
+        one.last_repair_score.map(f64::to_bits),
+        "{label}: repair objective diverged"
+    );
+    oracle.surrogate_queries
+}
+
+/// The repair engine's contract: tabu search through the stacked,
+/// parallel surrogate engine is bit-identical to scoring one candidate
+/// at a time through the full per-candidate forward — same repaired
+/// topology, same surrogate query count, same modeled decision time — at
+/// 64 and 128 hosts, on one worker and on four. Fixed candidate order
+/// and index-slotted batch results are what make this hold; this test
+/// is the tripwire.
 #[test]
 fn batched_tabu_repair_is_bit_identical_to_serial() {
     use carol::carol::CarolVariant;
-    use carol::ResiliencePolicy;
     use edgesim::scheduler::LeastLoadScheduler;
     use edgesim::state::{Normalizer, SystemState};
     use edgesim::{FaultLoad, SimConfig, Simulator};
@@ -185,7 +284,7 @@ fn batched_tabu_repair_is_bit_identical_to_serial() {
     // Two ascent steps at 64 hosts (exercises the per-candidate
     // convergence masks); one at 128 (the neighbourhood is ~4× larger —
     // this keeps the debug-mode test budget sane).
-    let policy_config = |batch_eval: bool, threads: usize, gen_steps: usize| CarolConfig {
+    let policy_config = |threads: usize, gen_steps: usize| CarolConfig {
         gon: GonConfig {
             hidden: 12,
             head_layers: 2,
@@ -202,13 +301,12 @@ fn batched_tabu_repair_is_bit_identical_to_serial() {
             ..Default::default()
         },
         variant: CarolVariant::Gon,
-        batch_eval,
         eval_threads: Some(threads),
         ..CarolConfig::fast_test()
     };
 
     for (n_hosts, n_brokers, gen_steps) in [(64usize, 8usize, 2usize), (128, 16, 1)] {
-        // One broker failure in an n-host federation; the repair scores
+        // One broker failure in an n-host federation; the search scores
         // the full node-shift neighbourhood (thousands of candidates at
         // 128 hosts).
         let mut sim = Simulator::new(SimConfig::federation(n_hosts, n_brokers, 5));
@@ -235,43 +333,18 @@ fn batched_tabu_repair_is_bit_identical_to_serial() {
             &Normalizer::for_federation(n_hosts, n_brokers),
         );
 
-        // Same seed ⇒ identical weights and RNG streams in all three
-        // policies; only the evaluation engine differs.
-        let mk = |batch_eval: bool, threads: usize| {
-            let config = policy_config(batch_eval, threads, gen_steps);
-            Carol::from_model(gon::GonModel::new(config.gon.clone()), config, 11)
-        };
-        let mut serial = mk(false, 1);
-        let mut batched_1 = mk(true, 1);
-        let mut batched_4 = mk(true, 4);
-
-        let reference = serial
-            .repair(&sim, &snapshot)
-            .expect("failure must produce a repair");
-        reference.validate().unwrap();
-        assert!(
-            serial.surrogate_queries > n_hosts,
-            "repair must batch-score"
+        // Same seed ⇒ identical weights and RNG streams in every policy;
+        // only the worker count differs.
+        let queries = assert_repair_engine_matches_oracle(
+            &format!("{n_hosts} hosts"),
+            &sim,
+            &snapshot,
+            |threads| {
+                let config = policy_config(threads, gen_steps);
+                Carol::from_model(gon::GonModel::new(config.gon.clone()), config, 11)
+            },
         );
-
-        for (label, policy) in [("1 thread", &mut batched_1), ("4 threads", &mut batched_4)] {
-            let repaired = policy
-                .repair(&sim, &snapshot)
-                .expect("failure must produce a repair");
-            assert_eq!(
-                repaired, reference,
-                "{n_hosts} hosts / {label}: batched repair chose a different topology"
-            );
-            assert_eq!(
-                policy.surrogate_queries, serial.surrogate_queries,
-                "{n_hosts} hosts / {label}: query counts diverged"
-            );
-            assert_eq!(
-                policy.modeled_decision_s().to_bits(),
-                serial.modeled_decision_s().to_bits(),
-                "{n_hosts} hosts / {label}: modeled decision time diverged"
-            );
-        }
+        assert!(queries > n_hosts, "the search must batch-score");
     }
 }
 
@@ -279,15 +352,15 @@ fn batched_tabu_repair_is_bit_identical_to_serial() {
 /// **knowingly changes search results** versus the full neighbourhood, so
 /// it cannot ride on the full-path pins — but it must still be a pure
 /// function of the config seed: the same `Sampled { max_moves, seed }`
-/// repair must pick the same topology and issue the same query count
-/// whether candidates are scored one-at-a-time, batched on one worker, or
-/// batched on four. The sampling RNG draws before scoring begins, which
-/// is what makes this hold; this test is the tripwire.
+/// search must pick the same topology and issue the same query count
+/// whether candidates are scored one-at-a-time through the per-candidate
+/// oracle, stacked on one worker, or stacked on four. The sampling RNG
+/// draws before scoring begins, which is what makes this hold; this test
+/// is the tripwire.
 #[test]
 fn sampled_tabu_repair_is_bit_identical_across_engines_and_workers() {
     use carol::carol::CarolVariant;
     use carol::tabu::Neighborhood;
-    use carol::ResiliencePolicy;
     use edgesim::scheduler::LeastLoadScheduler;
     use edgesim::state::{Normalizer, SystemState};
     use edgesim::{FaultLoad, SimConfig, Simulator};
@@ -295,7 +368,7 @@ fn sampled_tabu_repair_is_bit_identical_across_engines_and_workers() {
 
     let n_hosts = 128usize;
     let n_brokers = 16usize;
-    let policy_config = |batch_eval: bool, threads: usize| CarolConfig {
+    let policy_config = |threads: usize| CarolConfig {
         gon: GonConfig {
             hidden: 12,
             head_layers: 2,
@@ -315,7 +388,6 @@ fn sampled_tabu_repair_is_bit_identical_across_engines_and_workers() {
             },
         },
         variant: CarolVariant::Gon,
-        batch_eval,
         eval_threads: Some(threads),
         ..CarolConfig::fast_test()
     };
@@ -340,55 +412,26 @@ fn sampled_tabu_repair_is_bit_identical_across_engines_and_workers() {
         &Normalizer::for_federation(n_hosts, n_brokers),
     );
 
-    let mk = |batch_eval: bool, threads: usize| {
-        let config = policy_config(batch_eval, threads);
+    let queries = assert_repair_engine_matches_oracle("sampled", &sim, &snapshot, |threads| {
+        let config = policy_config(threads);
         Carol::from_model(gon::GonModel::new(config.gon.clone()), config, 11)
-    };
-    let mut serial = mk(false, 1);
-    let reference = serial
-        .repair(&sim, &snapshot)
-        .expect("failure must produce a repair");
-    reference.validate().unwrap();
-    let reference_score = serial.last_repair_score.expect("score recorded");
+    });
     // Two iterations × ≤48 sampled moves (+1 start): far below the full
     // neighbourhood — the cap must actually bind at 128 hosts.
     assert!(
-        serial.surrogate_queries <= 2 * 48 + 1,
-        "sampling cap did not bind: {} queries",
-        serial.surrogate_queries
+        queries <= 2 * 48 + 1,
+        "sampling cap did not bind: {queries} queries"
     );
-
-    for (label, batch_eval, threads) in [
-        ("batched/1 worker", true, 1),
-        ("batched/4 workers", true, 4),
-    ] {
-        let mut policy = mk(batch_eval, threads);
-        let repaired = policy
-            .repair(&sim, &snapshot)
-            .expect("failure must produce a repair");
-        assert_eq!(
-            repaired, reference,
-            "{label}: sampled repair chose a different topology"
-        );
-        assert_eq!(
-            policy.surrogate_queries, serial.surrogate_queries,
-            "{label}: query counts diverged"
-        );
-        assert_eq!(
-            policy.last_repair_score.expect("score recorded").to_bits(),
-            reference_score.to_bits(),
-            "{label}: winning objective diverged"
-        );
-    }
 }
 
-/// The batched trainer's contract: `train_offline` through the batched
+/// The trainer's contract: `train_offline` through the stacked
 /// adversarial engine — stacked discriminator passes, `par`-fanned fake
-/// ascent, in-order per-segment gradient reduction — is bit-identical to
-/// the serial one-state-at-a-time reference on 64-host federation states:
-/// same per-epoch `EpochStats`, same final parameters, on one worker and
-/// on four. Interleaved real/fake gradient segments and fixed fake-ascent
-/// chunk boundaries are what make this hold; this test is the tripwire.
+/// ascent, in-order per-segment gradient reduction — is bit-identical on
+/// one worker and on four over 64-host federation states: same per-epoch
+/// `EpochStats`, same final parameters. Fixed fake-ascent chunk
+/// boundaries are what make this hold; this test is the tripwire. The
+/// engine's equality with the per-state `adversarial_step` at this shape
+/// is gated step by step in `tests/properties.rs`.
 #[test]
 fn batched_training_is_bit_identical_to_serial() {
     use gon::{train_offline, GonConfig, GonModel, TrainConfig};
@@ -407,7 +450,7 @@ fn batched_training_is_bit_identical_to_serial() {
     );
     assert!(trace.iter().all(|s| s.n_hosts() == 64));
 
-    let run = |batch_train: bool, threads: usize| {
+    let run = |threads: usize| {
         let mut model = GonModel::new(GonConfig {
             hidden: 12,
             head_layers: 2,
@@ -429,7 +472,6 @@ fn batched_training_is_bit_identical_to_serial() {
                 minibatch: 32,
                 patience: 2,
                 lr: 1e-3,
-                batch_train,
                 train_threads: Some(threads),
                 ..Default::default()
             },
@@ -442,36 +484,34 @@ fn batched_training_is_bit_identical_to_serial() {
         (stats, params)
     };
 
-    let (serial_stats, serial_params) = run(false, 1);
-    assert_eq!(serial_stats.len(), 2, "both epochs must run");
-    for (label, threads) in [("1 worker", 1), ("4 workers", 4)] {
-        let (stats, params) = run(true, threads);
-        assert_eq!(stats.len(), serial_stats.len(), "{label}: epoch counts");
-        for (a, b) in serial_stats.iter().zip(&stats) {
-            assert_eq!(a.epoch, b.epoch, "{label}: epoch index");
-            assert_eq!(
-                a.loss.to_bits(),
-                b.loss.to_bits(),
-                "{label}: epoch {} loss diverged ({} vs {})",
-                a.epoch,
-                a.loss,
-                b.loss
-            );
-            assert_eq!(
-                a.mse.to_bits(),
-                b.mse.to_bits(),
-                "{label}: epoch {} mse diverged",
-                a.epoch
-            );
-            assert_eq!(
-                a.confidence.to_bits(),
-                b.confidence.to_bits(),
-                "{label}: epoch {} confidence diverged",
-                a.epoch
-            );
-        }
-        assert_eq!(params, serial_params, "{label}: final parameters diverged");
+    let (one_stats, one_params) = run(1);
+    assert_eq!(one_stats.len(), 2, "both epochs must run");
+    let (stats, params) = run(4);
+    assert_eq!(stats.len(), one_stats.len(), "epoch counts");
+    for (a, b) in one_stats.iter().zip(&stats) {
+        assert_eq!(a.epoch, b.epoch, "epoch index");
+        assert_eq!(
+            a.loss.to_bits(),
+            b.loss.to_bits(),
+            "epoch {} loss diverged ({} vs {})",
+            a.epoch,
+            a.loss,
+            b.loss
+        );
+        assert_eq!(
+            a.mse.to_bits(),
+            b.mse.to_bits(),
+            "epoch {} mse diverged",
+            a.epoch
+        );
+        assert_eq!(
+            a.confidence.to_bits(),
+            b.confidence.to_bits(),
+            "epoch {} confidence diverged",
+            a.epoch
+        );
     }
+    assert_eq!(params, one_params, "final parameters diverged");
 }
 
 #[test]
@@ -523,7 +563,6 @@ fn simd_and_scalar_kernels_are_bit_identical_end_to_end() {
                 minibatch: 32,
                 patience: 2,
                 lr: 1e-3,
-                batch_train: true,
                 train_threads: Some(2),
                 ..Default::default()
             },
@@ -650,7 +689,9 @@ fn service_stream_is_bit_identical_to_batch_replay() {
     let scenario = ScenarioSpec::replay("svc-vs-batch", events.clone(), 8, 2, seed);
     let spec_for = |threads: usize| {
         ExperimentSpec::new(scenario.clone())
-            .with_engine(par::EngineConfig::batched(threads))
+            .with_engine(par::EngineConfig {
+                threads: Some(threads),
+            })
             .with_train(TrainConfig {
                 epochs: 1,
                 minibatch: 4,
@@ -726,7 +767,9 @@ fn federation_set_stream_is_bit_identical_to_batch_replay_per_federation() {
         let trace = export_jsonl(&events);
         let scenario = ScenarioSpec::replay(format!("fedset-{seed}"), events.clone(), 8, 2, seed);
         let spec = ExperimentSpec::new(scenario)
-            .with_engine(par::EngineConfig::batched(threads))
+            .with_engine(par::EngineConfig {
+                threads: Some(threads),
+            })
             .with_train(TrainConfig {
                 epochs: 1,
                 minibatch: 4,
@@ -828,7 +871,6 @@ fn checkpoint_restore_mid_stream_is_bit_identical_to_continuous() {
     let make = |threads: usize| {
         Carol::pretrained(
             CarolConfig {
-                batch_eval: true,
                 eval_threads: Some(threads),
                 ..CarolConfig::fast_test()
             },

@@ -145,11 +145,13 @@ proptest! {
         }
     }
 
-    /// The batched adversarial training step is bit-identical to mapping
-    /// the serial step over the minibatch — per-sample losses, accumulated
-    /// parameter gradients, and RNG stream consumption — for random batch
-    /// sizes (0 and 1 included), host counts, load patterns and worker
-    /// counts. This is the contract the batched trainer rests on.
+    /// The stacked adversarial training step is bit-identical to mapping
+    /// the per-state step over the minibatch — per-sample losses,
+    /// accumulated parameter gradients, and RNG stream consumption — for
+    /// random batch sizes (0 and 1 included), host counts, load patterns
+    /// and worker counts. This is the contract the trainer rests on;
+    /// `adversarial_step_batch_equals_mapped_steps_at_the_gate_shape`
+    /// adds the end-to-end gate's shape and trained weights.
     #[test]
     fn adversarial_step_batch_equals_mapped_steps_bitwise(
         // The upper bound crosses the 16-sample fake-ascent chunk size so
@@ -165,8 +167,6 @@ proptest! {
         use edgesim::state::{Normalizer, SystemState};
         use edgesim::{HostSpec, HostState};
         use gon::{GonConfig, GonModel};
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
 
         prop_assume!(n_brokers <= n_hosts / 2);
         let topo = Topology::balanced(n_hosts, n_brokers).unwrap();
@@ -191,7 +191,7 @@ proptest! {
             })
             .collect();
 
-        let mk_model = || GonModel::new(GonConfig {
+        let model = GonModel::new(GonConfig {
             hidden: 10,
             head_layers: 2,
             gat_dim: 6,
@@ -201,36 +201,8 @@ proptest! {
             gen_tol: 1e-7,
             seed: 13,
         });
-
-        let mut serial_model = mk_model();
-        let mut serial_rng = StdRng::seed_from_u64(21);
-        let serial_losses: Vec<f64> = states
-            .iter()
-            .map(|s| gon::training::adversarial_step(&mut serial_model, s, &mut serial_rng))
-            .collect();
-        let serial_grads: Vec<Vec<u64>> = serial_model
-            .params_mut()
-            .iter()
-            .map(|p| p.grad.data().iter().map(|g| g.to_bits()).collect())
-            .collect();
-
-        let mut batched_model = mk_model();
-        let mut batched_rng = StdRng::seed_from_u64(21);
-        let refs: Vec<&SystemState> = states.iter().collect();
-        let batched_losses = batched_model.adversarial_step_batch(&refs, &mut batched_rng, threads);
-        let batched_grads: Vec<Vec<u64>> = batched_model
-            .params_mut()
-            .iter()
-            .map(|p| p.grad.data().iter().map(|g| g.to_bits()).collect())
-            .collect();
-
-        prop_assert_eq!(serial_losses.len(), batched_losses.len());
-        for (a, b) in serial_losses.iter().zip(&batched_losses) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-        prop_assert_eq!(serial_grads, batched_grads);
-        // Both engines must have consumed the RNG stream identically.
-        prop_assert_eq!(serial_rng.gen::<u64>(), batched_rng.gen::<u64>());
+        let (mapped, stacked) = mapped_and_stacked_steps(&model, &states, threads);
+        prop_assert_eq!(mapped, stacked);
     }
 
     /// Tabu search never returns something worse than its start, for any
@@ -716,6 +688,110 @@ proptest! {
         kernel::ascent_update_on(simd, &mut got, &d, lr);
         for (x, y) in want.iter().zip(&got) {
             prop_assert!(x.to_bits() == y.to_bits(), "ascent diverged on {}", simd.name());
+        }
+    }
+}
+
+/// Loss bits, accumulated gradient bits and the RNG's next draw after one
+/// adversarial minibatch step.
+type StepOutcome = (Vec<u64>, Vec<Vec<u64>>, u64);
+
+/// One adversarial minibatch step from `model`'s weights (gradients
+/// zeroed first, as the trainer does), taken both ways: the per-state
+/// `gon::training::adversarial_step` mapped over `states`, and the
+/// stacked `GonModel::adversarial_step_batch` on `threads` workers.
+fn mapped_and_stacked_steps(
+    model: &gon::GonModel,
+    states: &[edgesim::state::SystemState],
+    threads: usize,
+) -> (StepOutcome, StepOutcome) {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    let outcome = |mut model: gon::GonModel, losses: Vec<f64>, mut rng: StdRng| -> StepOutcome {
+        let grads = model
+            .params_mut()
+            .iter()
+            .map(|p| p.grad.data().iter().map(|g| g.to_bits()).collect())
+            .collect();
+        (
+            losses.iter().map(|l| l.to_bits()).collect(),
+            grads,
+            rng.gen(),
+        )
+    };
+
+    let mut mapped = model.clone();
+    mapped.zero_grad();
+    let mut rng = StdRng::seed_from_u64(21);
+    let losses = states
+        .iter()
+        .map(|s| gon::training::adversarial_step(&mut mapped, s, &mut rng))
+        .collect();
+    let mapped = outcome(mapped, losses, rng);
+
+    let mut stacked = model.clone();
+    stacked.zero_grad();
+    let mut rng = StdRng::seed_from_u64(21);
+    let refs: Vec<&edgesim::state::SystemState> = states.iter().collect();
+    let losses = stacked.adversarial_step_batch(&refs, &mut rng, threads);
+    (mapped, outcome(stacked, losses, rng))
+}
+
+/// The end-to-end training gate's shape, one step at a time: 64-host
+/// states and a 32-state minibatch spanning two 16-sample fake-ascent
+/// chunks, at the initial weights and again after a few Adam steps of
+/// real training. The stacked step matches the mapped per-state step
+/// bitwise at 1 and 4 workers — the equality the end-to-end training
+/// gates (which compare worker counts) rest on.
+#[test]
+fn adversarial_step_batch_equals_mapped_steps_at_the_gate_shape() {
+    use gon::{GonConfig, GonModel, TrainConfig};
+    use workloads::trace::{generate_trace, TraceConfig};
+
+    let trace = generate_trace(
+        &TraceConfig {
+            intervals: 32,
+            topology_period: 5,
+            arrival_rate: 0.45 * 64.0,
+            suite: BenchmarkSuite::DeFog,
+            seed: 3,
+        },
+        SimConfig::federation(64, 8, 3),
+    );
+    assert!(trace.iter().all(|s| s.n_hosts() == 64));
+    let mut model = GonModel::new(GonConfig {
+        hidden: 12,
+        head_layers: 2,
+        gat_dim: 6,
+        gat_att: 4,
+        gen_lr: 5e-3,
+        gen_steps: 3,
+        gen_tol: 1e-7,
+        seed: 1,
+    });
+    for weights in ["initial", "trained"] {
+        if weights == "trained" {
+            // Four Adam steps: one epoch of 8-state minibatches over the
+            // 26-state train split.
+            gon::train_offline(
+                &mut model,
+                &trace,
+                &TrainConfig {
+                    epochs: 1,
+                    minibatch: 8,
+                    lr: 1e-3,
+                    ..Default::default()
+                },
+            );
+        }
+        for threads in [1, 4] {
+            let (mapped, stacked) = mapped_and_stacked_steps(&model, &trace, threads);
+            assert_eq!(mapped.0.len(), 32);
+            assert!(
+                mapped == stacked,
+                "{weights} weights / {threads} workers: step diverged"
+            );
         }
     }
 }

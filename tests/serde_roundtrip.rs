@@ -157,7 +157,7 @@ fn experiment_spec_json_reconstructs_scenario_engine_and_trainer() {
 
     let spec = ExperimentSpec::named("storm-64", 11)
         .unwrap()
-        .with_engine(par::EngineConfig::batched(3))
+        .with_engine(par::EngineConfig { threads: Some(3) })
         .with_train(gon::TrainConfig {
             epochs: 2,
             minibatch: 16,
@@ -171,8 +171,7 @@ fn experiment_spec_json_reconstructs_scenario_engine_and_trainer() {
     assert_eq!(back.scenario.name, "storm-64");
     assert_eq!(back.scenario.n_hosts, 64);
     assert_eq!(back.scenario.seed, 11);
-    assert_eq!(back.engine, par::EngineConfig::batched(3));
-    assert_eq!(back.engine.worker_count(), 3);
+    assert_eq!(back.engine, par::EngineConfig { threads: Some(3) });
     assert_eq!(back.train.epochs, 2);
     assert_eq!(back.train.minibatch, 16);
     assert_eq!(back.checkpoint.every, Some(25));
@@ -180,7 +179,115 @@ fn experiment_spec_json_reconstructs_scenario_engine_and_trainer() {
 
     // The induced controller config reflects the spec's engine + trainer.
     let cc = back.carol_config();
-    assert!(cc.batch_eval);
     assert_eq!(cc.eval_threads, Some(3));
     assert_eq!(cc.offline.epochs, 2);
+}
+
+/// Inserts `stale` right after the first occurrence of `anchor` in
+/// `json` — how a document written by an older build looks.
+fn insert_after(json: &str, anchor: &str, stale: &str) -> String {
+    let at = json
+        .find(anchor)
+        .unwrap_or_else(|| panic!("`{anchor}` in the document"))
+        + anchor.len();
+    format!("{}{stale}{}", &json[..at], &json[at..])
+}
+
+/// Documents written while the repair and training engines had a serial
+/// switch carry `batch_eval`, `batch_train` and `engine.batched` keys.
+/// The JSON layer ignores unknown keys, so such a checkpoint, trainer
+/// config and experiment spec still parse — even with the switch off —
+/// and restore or run on the one engine, bit-identically to the current
+/// document.
+#[test]
+fn documents_with_retired_engine_keys_parse_and_run() {
+    use carol::carol::{Carol, CarolCheckpoint, CarolConfig};
+    use carol::service::ExperimentSpec;
+    use edgesim::scheduler::LeastLoadScheduler;
+    use edgesim::Simulator;
+    use gon::{GonConfig, GonModel, TrainConfig};
+
+    // A controller checkpoint with `"batch_eval": false`.
+    let mut policy = Carol::pretrained(CarolConfig::fast_test(), 5);
+    let json = policy.checkpoint().expect("GON checkpoints").to_json();
+    let stale = insert_after(&json, "\"config\": {", "\"batch_eval\": false,");
+    let ckpt = CarolCheckpoint::from_json(&stale).expect("stale checkpoint parses");
+    let mut restored = Carol::restore(&ckpt).expect("stale checkpoint restores");
+    let mut sim = Simulator::new(SimConfig::small(8, 2, 5));
+    let report = sim.step(Vec::new(), &mut LeastLoadScheduler::new());
+    let base = SystemState::capture(
+        sim.topology(),
+        sim.specs(),
+        sim.host_states(),
+        sim.tasks(),
+        &report.decision,
+        &Normalizer::for_federation(8, 2),
+    );
+    let candidates = carol::nodeshift::mutations(sim.topology(), &[]);
+    let bits = |scores: Vec<f64>| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(restored.objective_batch(&base, &candidates)),
+        bits(policy.objective_batch(&base, &candidates)),
+        "the restored controller must score like the one it froze"
+    );
+
+    // A trainer config with `"batch_train": false`.
+    let train = TrainConfig {
+        epochs: 1,
+        minibatch: 4,
+        ..Default::default()
+    };
+    let stale = insert_after(
+        &serde_json::to_string(&train).unwrap(),
+        "{",
+        "\"batch_train\":false,",
+    );
+    let parsed: TrainConfig = serde_json::from_str(&stale).expect("stale trainer config parses");
+    let trace = generate_trace(
+        &TraceConfig {
+            intervals: 8,
+            topology_period: 3,
+            arrival_rate: 2.0,
+            suite: BenchmarkSuite::DeFog,
+            seed: 5,
+        },
+        SimConfig::small(6, 2, 5),
+    );
+    let train_with = |config: &TrainConfig| {
+        let mut model = GonModel::new(GonConfig {
+            hidden: 8,
+            head_layers: 2,
+            gat_dim: 4,
+            gat_att: 2,
+            gen_lr: 5e-3,
+            gen_steps: 2,
+            gen_tol: 1e-7,
+            seed: 5,
+        });
+        let stats = gon::train_offline(&mut model, &trace, config);
+        let params: Vec<u64> = model
+            .params_mut()
+            .iter()
+            .flat_map(|p| p.value.data().iter().map(|v| v.to_bits()))
+            .collect();
+        (
+            stats.iter().map(|s| s.loss.to_bits()).collect::<Vec<_>>(),
+            params,
+        )
+    };
+    assert_eq!(
+        train_with(&parsed),
+        train_with(&train),
+        "the stale trainer config must train like the current one"
+    );
+
+    // An experiment spec with `"engine": {"batched": false, "threads": 2}`.
+    let spec = ExperimentSpec::named("paper-16", 3)
+        .unwrap()
+        .with_engine(par::EngineConfig { threads: Some(2) });
+    let stale = insert_after(&spec.to_json(), "\"engine\": {", "\"batched\": false,");
+    assert!(stale.contains("\"batched\": false,"));
+    let back = ExperimentSpec::from_json(&stale).expect("stale spec parses");
+    assert_eq!(back.engine, par::EngineConfig { threads: Some(2) });
+    assert_eq!(back.carol_config().eval_threads, Some(2));
 }

@@ -134,11 +134,16 @@ fn bench_kernels(c: &mut Criterion) {
     let mut init = nn::init::Initializer::new(17);
     let mut gat = nn::GraphAttention::new(6, 32, 16, &mut init);
     let feats = Matrix::lcg(64, 6, 18);
-    let neighbors: Vec<Vec<usize>> = (0..64)
-        .map(|i| vec![(i + 63) % 64, i, (i + 1) % 64])
+    // CSR adjacency: node i's row is its ring predecessor, itself and its
+    // successor.
+    let offsets: Vec<usize> = (0..=64).map(|i| 3 * i).collect();
+    let targets: Vec<usize> = (0..64)
+        .flat_map(|i| [(i + 63) % 64, i, (i + 1) % 64])
         .collect();
     c.bench_function("gat_attention_64_ring", |b| {
-        b.iter(|| black_box(gat.forward(black_box(&feats), black_box(&neighbors))))
+        b.iter(|| {
+            black_box(gat.forward(black_box(&feats), black_box(&offsets), black_box(&targets)))
+        })
     });
 }
 

@@ -512,11 +512,27 @@ impl Carol {
     /// bit-identical to running that sequence on the original.
     /// Background tuning is off on the restored controller; re-enable it
     /// with [`Carol::set_background_tune`].
+    ///
+    /// A Γ state whose per-host rows do not match its topology's host
+    /// count is refused with [`CarolCheckpointError::GammaHostCount`]
+    /// rather than left to fail the next fine-tune.
     pub fn restore(ckpt: &CarolCheckpoint) -> Result<Self, CarolCheckpointError> {
         if !matches!(ckpt.config.variant, CarolVariant::Gon) {
             return Err(CarolCheckpointError::UnsupportedVariant(
                 ckpt.config.variant,
             ));
+        }
+        let rows_match = |s: &SystemState| {
+            let n = s.topology.len();
+            [
+                s.metrics.len(),
+                s.schedule.len(),
+                s.graph_features.len(),
+                s.ram_mb.len(),
+            ] == [n; 4]
+        };
+        if let Some(index) = ckpt.gamma.iter().position(|s| !rows_match(s)) {
+            return Err(CarolCheckpointError::GammaHostCount { index });
         }
         let gon = ckpt.gon.restore().map_err(CarolCheckpointError::Gon)?;
         Ok(Self {
@@ -608,6 +624,12 @@ pub enum CarolCheckpointError {
     UnsupportedVariant(CarolVariant),
     /// The embedded GON checkpoint was inconsistent.
     Gon(gon::CheckpointError),
+    /// Γ state `index` has a per-host row count (`metrics`, `schedule`,
+    /// `graph_features` or `ram_mb`) other than its topology's host count.
+    GammaHostCount {
+        /// Position of the offending state in Γ.
+        index: usize,
+    },
     /// JSON (de)serialization failed.
     Json(String),
 }
@@ -619,6 +641,9 @@ impl std::fmt::Display for CarolCheckpointError {
                 write!(f, "variant {v:?} has no checkpoint form (GON only)")
             }
             Self::Gon(e) => write!(f, "GON checkpoint: {e}"),
+            Self::GammaHostCount { index } => {
+                write!(f, "Γ state {index}: host rows do not match its topology")
+            }
             Self::Json(msg) => write!(f, "checkpoint JSON error: {msg}"),
         }
     }
@@ -1215,12 +1240,10 @@ mod tests {
         assert!(policy.gamma.is_empty() && restored.gamma.is_empty());
     }
 
-    /// A checkpoint whose Γ holds a damaged topology is refused with a
-    /// typed error at parse time, not accepted into a broken index.
-    /// Confidence mode fills Γ, and POT cannot alarm (and clear it)
-    /// before calibration ends, long after these three intervals.
-    #[test]
-    fn damaged_gamma_topology_is_a_typed_checkpoint_error() {
+    /// A checkpoint holding several Γ states. Confidence mode fills Γ,
+    /// and POT cannot alarm (and clear it) before calibration ends, long
+    /// after these three intervals.
+    fn checkpoint_with_gamma() -> CarolCheckpoint {
         let mut policy = Carol::pretrained(
             CarolConfig {
                 fine_tune: FineTuneMode::Confidence,
@@ -1236,7 +1259,15 @@ mod tests {
             policy.observe(&sim, &snapshot, &report);
         }
         let ckpt = policy.checkpoint().unwrap();
-        assert!(!ckpt.gamma.is_empty(), "fault-free intervals feed Γ");
+        assert!(ckpt.gamma.len() > 1, "fault-free intervals feed Γ");
+        ckpt
+    }
+
+    /// A checkpoint whose Γ holds a damaged topology is refused with a
+    /// typed error at parse time, not accepted into a broken index.
+    #[test]
+    fn damaged_gamma_topology_is_a_typed_checkpoint_error() {
+        let ckpt = checkpoint_with_gamma();
         let json = serde_json::to_string(&ckpt).unwrap();
         assert!(CarolCheckpoint::from_json(&json).is_ok());
 
@@ -1254,6 +1285,30 @@ mod tests {
                 assert!(msg.contains("invalid topology"), "{msg}")
             }
             other => panic!("damaged Γ topology accepted: {other:?}"),
+        }
+    }
+
+    /// A Γ state with a row missing from one per-host table is refused at
+    /// restore with the state's index, not left to panic in the GAT's
+    /// graph check at the next fine-tune.
+    #[test]
+    fn gamma_host_count_mismatch_is_a_typed_restore_error() {
+        let ckpt = checkpoint_with_gamma();
+        assert!(Carol::restore(&ckpt).is_ok());
+        for table in 0..4 {
+            let mut damaged = ckpt.clone();
+            let state = &mut damaged.gamma[1];
+            match table {
+                0 => drop(state.metrics.pop()),
+                1 => drop(state.schedule.pop()),
+                2 => drop(state.graph_features.pop()),
+                _ => drop(state.ram_mb.pop()),
+            }
+            let json = damaged.to_json();
+            match Carol::restore(&CarolCheckpoint::from_json(&json).unwrap()) {
+                Err(e) => assert_eq!(e, CarolCheckpointError::GammaHostCount { index: 1 }),
+                Ok(_) => panic!("table {table}: a short Γ state restored"),
+            }
         }
     }
 

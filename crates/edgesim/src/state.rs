@@ -7,7 +7,9 @@
 //! [`Simulator`](crate::Simulator) snapshot in a *host-count-agnostic*
 //! encoding: per-host rows fed to shared encoders, so the same network
 //! weights serve any federation size — the property the paper gets from
-//! its graph attention network.
+//! its graph attention network. `G` is the snapshot's [`Topology`]
+//! itself: the GAT's CSR adjacency is built from its index on demand
+//! ([`Topology::gat_adjacency`]), never stored next to it.
 
 use crate::host::{HostSpec, HostState};
 use crate::scheduler::SchedulingDecision;
@@ -67,9 +69,8 @@ pub struct SystemState {
     pub schedule: Vec<[f64; SCHED_DIM]>,
     /// Per-node GAT feature rows, `n_hosts × GRAPH_DIM`.
     pub graph_features: Vec<[f64; GRAPH_DIM]>,
-    /// GAT adjacency (with self-loops) of the topology.
-    pub neighbors: Vec<Vec<usize>>,
-    /// The topology this snapshot was taken under.
+    /// The topology this snapshot was taken under: the graph `G`. The
+    /// GAT reads its adjacency from [`Topology::gat_adjacency`].
     pub topology: Topology,
     /// Per-host RAM capacities (MB), for role-change cost projection.
     pub ram_mb: Vec<f64>,
@@ -289,7 +290,6 @@ impl SystemState {
             metrics,
             schedule,
             graph_features,
-            neighbors: topology.gat_neighbors(),
             topology: topology.clone(),
             ram_mb: specs.iter().map(|s| s.ram_mb).collect(),
             costs: CostModel::default(),
@@ -414,7 +414,6 @@ impl SystemState {
             metrics,
             schedule: self.schedule.clone(),
             graph_features,
-            neighbors: topology.gat_neighbors(),
             topology: topology.clone(),
             ram_mb: self.ram_mb.clone(),
             costs: self.costs,
@@ -490,7 +489,7 @@ mod tests {
         assert_eq!(s.metrics.len(), 4);
         assert_eq!(s.schedule.len(), 4);
         assert_eq!(s.graph_features.len(), 4);
-        assert_eq!(s.neighbors.len(), 4);
+        assert_eq!(s.topology.len(), 4);
     }
 
     #[test]
@@ -543,7 +542,7 @@ mod tests {
         topo.promote(w).unwrap();
         let s2 = s.with_topology(&topo);
         assert_eq!(s2.graph_features[w][4], 1.0);
-        assert_ne!(s.neighbors, s2.neighbors);
+        assert_ne!(s.topology.gat_adjacency(), s2.topology.gat_adjacency());
         // The promoted host gains management CPU and RAM.
         assert!(s2.metrics[w][0] > s.metrics[w][0], "mgmt CPU must appear");
         assert!(s2.metrics[w][1] > s.metrics[w][1], "mgmt RAM must appear");
@@ -646,7 +645,7 @@ mod tests {
             &Normalizer::for_federation(n, 16),
         );
         assert_eq!(s.n_hosts(), n);
-        assert_eq!(s.neighbors.len(), n);
+        assert_eq!(s.topology.len(), n);
         let (qe, qs) = s.qos_components();
         assert!(qe.is_finite() && qs.is_finite());
         // Projection onto a mutated topology must also scale.

@@ -426,25 +426,30 @@ impl Topology {
         Ok(())
     }
 
-    /// Undirected adjacency lists of the federation graph used by the GAT
-    /// encoder: every worker links to its broker; brokers form a full
-    /// mesh; each node carries a self-loop (§IV-A). A broker's list is
-    /// itself, the other brokers ascending, then its workers ascending.
-    pub fn gat_neighbors(&self) -> Vec<Vec<usize>> {
-        let brokers = self.brokers();
-        (0..self.roles.len())
-            .map(|i| match self.roles[i] {
+    /// The GAT encoder's adjacency (§IV-A) as CSR `(offsets, targets)`:
+    /// node `i`'s row is `targets[offsets[i]..offsets[i + 1]]`. A broker's
+    /// row is itself, the other brokers ascending (the broker mesh), then
+    /// its workers ascending; a worker's row is itself, then its broker.
+    pub fn gat_adjacency(&self) -> (Vec<usize>, Vec<usize>) {
+        let index = self.index();
+        let (n, b) = (self.roles.len(), index.brokers.len());
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut targets = Vec::with_capacity(b * b + 3 * (n - b));
+        offsets.push(0);
+        for (i, role) in self.roles.iter().enumerate() {
+            targets.push(i);
+            match *role {
                 NodeRole::Broker => {
-                    let workers = self.workers_of(i);
-                    let mut adj = Vec::with_capacity(brokers.len() + workers.len());
-                    adj.push(i);
-                    adj.extend(brokers.iter().copied().filter(|&b| b != i));
-                    adj.extend_from_slice(workers);
-                    adj
+                    let r = index.rank[i];
+                    targets.extend_from_slice(&index.brokers[..r]);
+                    targets.extend_from_slice(&index.brokers[r + 1..]);
+                    targets.extend_from_slice(self.workers_of(i));
                 }
-                NodeRole::Worker { broker } => vec![i, broker],
-            })
-            .collect()
+                NodeRole::Worker { broker } => targets.push(broker),
+            }
+            offsets.push(targets.len());
+        }
+        (offsets, targets)
     }
 
     /// Canonical signature for tabu-list membership and hashing: worker
@@ -497,6 +502,18 @@ mod tests {
             .collect()
     }
 
+    /// [`Topology::gat_adjacency`]'s CSR rows as lists, after checking
+    /// the offsets frame the targets.
+    fn adjacency_rows(t: &Topology) -> Vec<Vec<usize>> {
+        let (offsets, targets) = t.gat_adjacency();
+        assert_eq!(offsets.len(), t.len() + 1);
+        assert_eq!((offsets[0], offsets[t.len()]), (0, targets.len()));
+        offsets
+            .windows(2)
+            .map(|w| targets[w[0]..w[1]].to_vec())
+            .collect()
+    }
+
     fn hash_of(t: &Topology) -> u64 {
         let mut h = DefaultHasher::new();
         t.hash(&mut h);
@@ -539,7 +556,7 @@ mod tests {
                     prop_assert_eq!(t.workers_of(h).to_vec(), workers);
                     prop_assert_eq!(t.broker_rank(h), scan_broker_rank(&t, h));
                 }
-                prop_assert_eq!(t.gat_neighbors(), scan_gat_neighbors(&t));
+                prop_assert_eq!(adjacency_rows(&t), scan_gat_neighbors(&t));
                 prop_assert!(t.index.0.get().is_some() && unindexed.index.0.get().is_none());
                 prop_assert!(t == unindexed);
                 prop_assert_eq!(hash_of(&t), hash_of(&unindexed));
@@ -635,9 +652,9 @@ mod tests {
     }
 
     #[test]
-    fn gat_neighbors_structure() {
+    fn gat_adjacency_structure() {
         let t = Topology::balanced(6, 2).unwrap();
-        let adj = t.gat_neighbors();
+        let adj = adjacency_rows(&t);
         assert_eq!(adj.len(), 6);
         // Self-loop everywhere.
         for (i, nbrs) in adj.iter().enumerate() {
@@ -653,9 +670,9 @@ mod tests {
     }
 
     #[test]
-    fn gat_neighbors_symmetric() {
+    fn gat_adjacency_symmetric() {
         let t = Topology::balanced(16, 4).unwrap();
-        let adj = t.gat_neighbors();
+        let adj = adjacency_rows(&t);
         for (i, nbrs) in adj.iter().enumerate() {
             for &j in nbrs {
                 if j != i {
@@ -699,7 +716,7 @@ mod tests {
             assert_eq!(back.workers_of(h), t.workers_of(h));
             assert_eq!(back.broker_rank(h), t.broker_rank(h));
         }
-        assert_eq!(back.gat_neighbors(), t.gat_neighbors());
+        assert_eq!(back.gat_adjacency(), t.gat_adjacency());
     }
 
     #[test]

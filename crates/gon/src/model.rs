@@ -93,6 +93,25 @@ pub struct Generated {
     pub iterations: usize,
 }
 
+/// The GAT input of the disjoint union of `states`' graphs: their graph
+/// feature rows stacked, and the CSR `(offsets, targets)` holding each
+/// state's [`Topology::gat_adjacency`](edgesim::Topology::gat_adjacency)
+/// rows in order, targets shifted by the nodes stacked before it.
+pub(crate) fn graph_input<'a>(
+    states: impl IntoIterator<Item = &'a SystemState>,
+) -> (Matrix, Vec<usize>, Vec<usize>) {
+    let (mut rows, mut offsets, mut targets) = (Vec::new(), vec![0], Vec::new());
+    for s in states {
+        let (o, t) = s.topology.gat_adjacency();
+        let nodes = offsets.len() - 1;
+        offsets.extend(o[1..].iter().map(|&end| end + targets.len()));
+        targets.extend(t.iter().map(|&j| j + nodes));
+        rows.extend_from_slice(s.graph_features.as_flattened());
+    }
+    let g = Matrix::from_vec(rows.len() / GRAPH_DIM, GRAPH_DIM, rows);
+    (g, offsets, targets)
+}
+
 /// The composite discriminator of Fig. 3.
 ///
 /// The model is `Clone`: batched candidate evaluation hands each worker
@@ -185,15 +204,6 @@ impl GonModel {
         x
     }
 
-    fn graph_input(state: &SystemState) -> Matrix {
-        let n = state.n_hosts();
-        let mut g = Matrix::zeros(n, GRAPH_DIM);
-        for h in 0..n {
-            g.row_mut(h).copy_from_slice(&state.graph_features[h]);
-        }
-        g
-    }
-
     /// Taped `[M | S]` encoder forward: `ReLU(X·W + b)`, recording what
     /// the encoder backward reads.
     fn encode(&mut self, x: &Matrix) -> Matrix {
@@ -212,7 +222,17 @@ impl GonModel {
     /// forward: it records the tape [`GonModel::backward`] reads. To only
     /// read the score, use [`GonModel::confidence`].
     pub fn score(&mut self, state: &SystemState) -> f64 {
-        self.forward_internal(state)
+        let n = state.n_hosts() as f64;
+        let x = Self::ms_input(state);
+        let e = self.encode(&x); // [n × hidden]
+        let e_ms = e.sum_rows().scale(1.0 / n); // mean-pool → [1 × hidden]
+
+        let (g, offsets, targets) = graph_input([state]);
+        let eg = self.gat.forward(&g, &offsets, &targets); // [n × gat_dim]
+        let e_g = eg.sum_rows().scale(1.0 / n);
+
+        let z = self.head.forward(&e_ms.hcat(&e_g));
+        z[(0, 0)]
     }
 
     /// The confidence score `D(M, S, G; θ)` of `state` from a cache-free
@@ -230,27 +250,10 @@ impl GonModel {
         let e = self.ms_relu.infer(&z); // [n × hidden]
         let e_ms = Self::pool_segments(&e, &[(0, n)]);
         let mut e_g = Matrix::zeros(1, self.config.gat_dim);
-        self.gat.pooled_embedding(
-            None,
-            &Self::graph_input(state),
-            &state.neighbors,
-            e_g.row_mut(0),
-        );
+        let (g, offsets, targets) = graph_input([state]);
+        self.gat
+            .pooled_embedding(None, &g, &offsets, &targets, e_g.row_mut(0));
         self.head.infer(&e_ms.hcat(&e_g))[(0, 0)]
-    }
-
-    fn forward_internal(&mut self, state: &SystemState) -> f64 {
-        let n = state.n_hosts() as f64;
-        let x = Self::ms_input(state);
-        let e = self.encode(&x); // [n × hidden]
-        let e_ms = e.sum_rows().scale(1.0 / n); // mean-pool → [1 × hidden]
-
-        let gfeat = Self::graph_input(state);
-        let eg = self.gat.forward(&gfeat, &state.neighbors); // [n × gat_dim]
-        let e_g = eg.sum_rows().scale(1.0 / n);
-
-        let z = self.head.forward(&e_ms.hcat(&e_g));
-        z[(0, 0)]
     }
 
     /// Backward pass after [`GonModel::score`]: given `dL/dD`, accumulates
@@ -344,15 +347,14 @@ impl GonModel {
     // batch entry points below stack every candidate's per-host rows into
     // one matrix: each network layer then runs one blocked matmul per
     // *batch* instead of per candidate, and the GAT sees the disjoint
-    // union of the candidate graphs (neighbour indices offset per
-    // candidate), which it evaluates block-by-block bit-identically to
-    // separate forwards. Everything here is bit-identical to mapping the
-    // serial sibling over the batch — `tests/properties.rs` and the
-    // determinism suite gate that contract.
+    // union of the candidate graphs ([`graph_input`]: CSR rows stacked,
+    // targets offset per candidate), which it evaluates block-by-block
+    // bit-identically to separate forwards. Everything here is
+    // bit-identical to mapping the serial sibling over the batch —
+    // `tests/properties.rs` and the determinism suite gate that contract.
 
     /// The `(row offset, n_hosts)` segment of each state in the stacked
-    /// row layout of [`GonModel::stacked_ms`] and
-    /// [`GonModel::stacked_graph`].
+    /// row layout of [`GonModel::stacked_ms`] and [`graph_input`].
     fn segments(states: &[&SystemState]) -> Vec<(usize, usize)> {
         let mut offset = 0;
         states
@@ -380,23 +382,6 @@ impl GonModel {
         x
     }
 
-    /// Stacks the graph rows of all states, with neighbour indices offset
-    /// per state: the disjoint union of the state graphs.
-    fn stacked_graph(states: &[&SystemState]) -> (Matrix, Vec<Vec<usize>>) {
-        let total: usize = states.iter().map(|s| s.n_hosts()).sum();
-        let mut g = Matrix::zeros(total, GRAPH_DIM);
-        let mut neighbors = Vec::with_capacity(total);
-        let mut offset = 0;
-        for s in states {
-            for h in 0..s.n_hosts() {
-                g.row_mut(offset + h).copy_from_slice(&s.graph_features[h]);
-                neighbors.push(s.neighbors[h].iter().map(|&j| j + offset).collect());
-            }
-            offset += s.n_hosts();
-        }
-        (g, neighbors)
-    }
-
     /// Pooled GAT embeddings (`B × gat_dim`) of a batch: from one forward
     /// over the stacked disjoint union, or — given a reference — one
     /// incremental [`GraphAttention::pooled_embedding`] per state. Both
@@ -410,19 +395,17 @@ impl GonModel {
         match reference {
             Some(reference) => {
                 let mut e_g = Matrix::zeros(states.len(), self.config.gat_dim);
-                for (i, s) in states.iter().enumerate() {
-                    self.gat.pooled_embedding(
-                        Some(reference),
-                        &Self::graph_input(s),
-                        &s.neighbors,
-                        e_g.row_mut(i),
-                    );
+                for (i, &s) in states.iter().enumerate() {
+                    let (g, offsets, targets) = graph_input([s]);
+                    let row = e_g.row_mut(i);
+                    self.gat
+                        .pooled_embedding(Some(reference), &g, &offsets, &targets, row);
                 }
                 e_g
             }
             None => {
-                let (gfeat, neighbors) = Self::stacked_graph(states);
-                let eg = self.gat.forward(&gfeat, &neighbors); // [Σn × gat_dim]
+                let (g, offsets, targets) = graph_input(states.iter().copied());
+                let eg = self.gat.forward(&g, &offsets, &targets); // [Σn × gat_dim]
                 Self::pool_segments(&eg, segments)
             }
         }
@@ -490,8 +473,8 @@ impl GonModel {
     /// current weights, for [`GonModel::generate_batch_against`]. Stale
     /// once the weights change.
     pub fn gat_reference(&self, state: &SystemState) -> GatReference {
-        self.gat
-            .reference(&Self::graph_input(state), &state.neighbors)
+        let (g, offsets, targets) = graph_input([state]);
+        self.gat.reference(&g, &offsets, &targets)
     }
 
     /// [`GonModel::generate_batch`] with each candidate's graph embedded

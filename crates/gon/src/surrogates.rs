@@ -216,11 +216,8 @@ impl GanSurrogate {
                 feat[METRIC_DIM + i] += v / n;
             }
         }
-        let mut gfeat = Matrix::zeros(state.n_hosts(), GRAPH_DIM);
-        for h in 0..state.n_hosts() {
-            gfeat.row_mut(h).copy_from_slice(&state.graph_features[h]);
-        }
-        let emb = self.gat.forward(&gfeat, &state.neighbors);
+        let (g, offsets, targets) = crate::model::graph_input([state]);
+        let emb = self.gat.forward(&g, &offsets, &targets);
         let pooled = emb.sum_rows().scale(1.0 / n);
         debug_assert_eq!(pooled.cols(), self.gat_dim);
         let mut row = feat;
@@ -304,20 +301,8 @@ impl GanSurrogate {
         if states.is_empty() {
             return Vec::new();
         }
-        let total: usize = states.iter().map(|s| s.n_hosts()).sum();
-        let mut gfeat = Matrix::zeros(total, GRAPH_DIM);
-        let mut neighbors = Vec::with_capacity(total);
-        let mut offset = 0;
-        for state in states {
-            for h in 0..state.n_hosts() {
-                gfeat
-                    .row_mut(offset + h)
-                    .copy_from_slice(&state.graph_features[h]);
-                neighbors.push(state.neighbors[h].iter().map(|&j| j + offset).collect());
-            }
-            offset += state.n_hosts();
-        }
-        let emb = self.gat.forward(&gfeat, &neighbors);
+        let (g, offsets, targets) = crate::model::graph_input(states);
+        let emb = self.gat.forward(&g, &offsets, &targets);
 
         let mut x = Matrix::zeros(states.len(), METRIC_DIM + SCHED_DIM + self.gat_dim);
         let mut offset = 0;

@@ -15,6 +15,10 @@
 //! The layer is variadic in the node count: the same parameters serve any
 //! topology, which is what lets CAROL evaluate candidate graphs of
 //! different shapes during tabu search.
+//!
+//! A graph's adjacency is one CSR pair `(offsets, targets)`: node `i`'s
+//! neighbours are `targets[offsets[i]..offsets[i + 1]]`, in attention
+//! order. CAROL builds it from the topology index.
 
 use crate::init::Initializer;
 use crate::kernel;
@@ -41,7 +45,8 @@ struct Cache {
     q: Matrix,
     k: Matrix,
     attention: Vec<Vec<f64>>,
-    neighbors: Vec<Vec<usize>>,
+    offsets: Vec<usize>,
+    targets: Vec<usize>,
     output: Matrix,
 }
 
@@ -58,7 +63,7 @@ struct Cache {
 /// * node `j`'s projections are recomputed iff its feature row differs
 ///   bitwise from the reference's (`h_j`, `q_j`, `k_j` are functions of
 ///   that row alone);
-/// * node `i`'s output row is recomputed iff its neighbour list differs,
+/// * node `i`'s output row is recomputed iff its CSR row differs,
 ///   its own projections were recomputed (`q_i` enters its logits), or
 ///   one of its neighbours' projections were (`k_j`, `h_j` enter its
 ///   softmax and aggregate);
@@ -77,7 +82,8 @@ struct Cache {
 #[derive(Debug, Clone)]
 pub struct GatReference {
     features: Matrix,
-    neighbors: Vec<Vec<usize>>,
+    offsets: Vec<usize>,
+    targets: Vec<usize>,
     h: Matrix,
     q: Matrix,
     k: Matrix,
@@ -136,36 +142,36 @@ impl GraphAttention {
         }
     }
 
-    /// Forward pass over a graph with `features` (`n × in_dim`) and
-    /// per-node neighbour lists. Include `i` in `neighbors[i]` to get
-    /// self-loops (CAROL does).
+    /// Forward pass over a graph with `features` (`n × in_dim`) and the
+    /// CSR adjacency `(offsets, targets)` (see the module docs). Include
+    /// `i` in its own row to get self-loops (CAROL does).
     ///
-    /// Nodes with empty neighbour lists produce zero embeddings.
+    /// Nodes with empty neighbour rows produce zero embeddings.
     ///
     /// Because attention only ever mixes a node with its listed
     /// neighbours, a *disjoint union* of graphs (feature rows stacked,
-    /// neighbour indices offset per graph) evaluates every component
-    /// bit-identically to separate forwards — the contract the batched
+    /// CSR rows concatenated, targets offset per graph) evaluates every
+    /// component bit-identically to separate forwards — the contract the batched
     /// candidate scorer (`gon`'s `score_batch`) is built on, and what
     /// turns B candidate topologies into one blocked matmul per layer.
     ///
     /// # Panics
     ///
-    /// Panics if `neighbors.len() != features.rows()`, if
-    /// `features.cols() != in_dim`, or if a neighbour index is out of range.
-    pub fn forward(&mut self, features: &Matrix, neighbors: &[Vec<usize>]) -> Matrix {
+    /// Panics if `features.cols() != in_dim` or if the adjacency is not a
+    /// well-formed CSR over `features.rows()` nodes.
+    pub fn forward(&mut self, features: &Matrix, offsets: &[usize], targets: &[usize]) -> Matrix {
         let n = features.rows();
-        check_graph(features, neighbors, self.in_dim());
+        check_graph(features, offsets, targets, self.in_dim());
         let (h, q, k) = self.project(features);
         let scale = self.attention_scale();
 
         let mut output = Matrix::zeros(n, self.out_dim());
         let mut attention = Vec::with_capacity(n);
-        for (i, nbrs) in neighbors.iter().enumerate() {
+        for i in 0..n {
             let mut alpha = Vec::new();
             attend_row(
                 q.row(i),
-                nbrs,
+                csr_row(offsets, targets, i),
                 |j| k.row(j),
                 |j| h.row(j),
                 scale,
@@ -181,7 +187,8 @@ impl GraphAttention {
             q,
             k,
             attention,
-            neighbors: neighbors.to_vec(),
+            offsets: offsets.to_vec(),
+            targets: targets.to_vec(),
             output: output.clone(),
         });
         output
@@ -215,16 +222,21 @@ impl GraphAttention {
     /// # Panics
     ///
     /// Panics on the same malformed inputs as [`GraphAttention::forward`].
-    pub fn reference(&self, features: &Matrix, neighbors: &[Vec<usize>]) -> GatReference {
-        check_graph(features, neighbors, self.in_dim());
+    pub fn reference(
+        &self,
+        features: &Matrix,
+        offsets: &[usize],
+        targets: &[usize],
+    ) -> GatReference {
+        check_graph(features, offsets, targets, self.in_dim());
         let (h, q, k) = self.project(features);
         let scale = self.attention_scale();
         let mut output = Matrix::zeros(features.rows(), self.out_dim());
         let mut alpha = Vec::new();
-        for (i, nbrs) in neighbors.iter().enumerate() {
+        for i in 0..features.rows() {
             attend_row(
                 q.row(i),
-                nbrs,
+                csr_row(offsets, targets, i),
                 |j| k.row(j),
                 |j| h.row(j),
                 scale,
@@ -234,7 +246,8 @@ impl GraphAttention {
         }
         GatReference {
             features: features.clone(),
-            neighbors: neighbors.to_vec(),
+            offsets: offsets.to_vec(),
+            targets: targets.to_vec(),
             h,
             q,
             k,
@@ -264,11 +277,12 @@ impl GraphAttention {
         &self,
         reference: Option<&GatReference>,
         features: &Matrix,
-        neighbors: &[Vec<usize>],
+        offsets: &[usize],
+        targets: &[usize],
         pooled: &mut [f64],
     ) {
         let n = features.rows();
-        check_graph(features, neighbors, self.in_dim());
+        check_graph(features, offsets, targets, self.in_dim());
         assert_eq!(pooled.len(), self.out_dim(), "pooled width mismatch");
         // A reference of another size shares no rows: embed from scratch.
         let reference = reference.filter(|r| r.features.shape() == features.shape());
@@ -319,10 +333,11 @@ impl GraphAttention {
         let mut row = vec![0.0; self.out_dim()];
         let mut alpha = Vec::new();
         pooled.fill(0.0);
-        for (i, nbrs) in neighbors.iter().enumerate() {
+        for i in 0..n {
+            let nbrs = csr_row(offsets, targets, i);
             let reused = reference.filter(|r| {
                 slot[i] == CLEAN
-                    && nbrs == &r.neighbors[i]
+                    && nbrs == csr_row(&r.offsets, &r.targets, i)
                     && nbrs.iter().all(|&j| slot[j] == CLEAN)
             });
             match reused {
@@ -565,15 +580,24 @@ impl GraphAttention {
     }
 }
 
-/// Checks a graph's shape against a layer's input width.
-fn check_graph(features: &Matrix, neighbors: &[Vec<usize>], in_dim: usize) {
+/// Node `i`'s neighbours in the CSR adjacency `(offsets, targets)`.
+fn csr_row<'a>(offsets: &[usize], targets: &'a [usize], i: usize) -> &'a [usize] {
+    &targets[offsets[i]..offsets[i + 1]]
+}
+
+/// Checks a graph against a layer's input width: `features` is
+/// `n × in_dim`, and the adjacency is a CSR over `n` nodes — `n + 1`
+/// offsets rising from 0 to `targets.len()`, every target below `n`.
+fn check_graph(features: &Matrix, offsets: &[usize], targets: &[usize], in_dim: usize) {
     let n = features.rows();
-    assert_eq!(neighbors.len(), n, "one neighbour list per node required");
+    assert_eq!(offsets.len(), n + 1, "one neighbour list per node required");
     assert_eq!(features.cols(), in_dim, "feature width mismatch");
-    for nbrs in neighbors {
-        for &j in nbrs {
-            assert!(j < n, "neighbour index {j} out of range for {n} nodes");
-        }
+    assert!(
+        offsets[0] == 0 && offsets[n] == targets.len() && offsets.windows(2).all(|w| w[0] <= w[1]),
+        "CSR offsets must rise from 0 to the target count"
+    );
+    if let Some(j) = targets.iter().find(|&&j| j >= n) {
+        panic!("neighbour index {j} out of range for {n} nodes");
     }
 }
 
@@ -658,7 +682,7 @@ fn attention_backward_rows(
     delta: usize,
 ) {
     for i in cache_lo..cache_hi {
-        let nbrs = &cache.neighbors[i];
+        let nbrs = csr_row(&cache.offsets, &cache.targets, i);
         if nbrs.is_empty() {
             continue;
         }
@@ -711,13 +735,28 @@ mod tests {
             .collect()
     }
 
+    /// The CSR `(offsets, targets)` of per-node neighbour lists.
+    fn csr(lists: &[Vec<usize>]) -> (Vec<usize>, Vec<usize>) {
+        let mut offsets = vec![0];
+        offsets.extend(lists.iter().scan(0, |end, l| {
+            *end += l.len();
+            Some(*end)
+        }));
+        (offsets, lists.concat())
+    }
+
+    fn ring(n: usize) -> (Vec<usize>, Vec<usize>) {
+        csr(&ring_neighbors(n))
+    }
+
     #[test]
     fn output_shape_follows_node_count() {
         let mut init = Initializer::new(1);
         let mut gat = GraphAttention::new(4, 6, 3, &mut init);
         for n in [2usize, 5, 9] {
             let feats = Initializer::new(n as u64).normal(n, 4, 1.0);
-            let out = gat.forward(&feats, &ring_neighbors(n));
+            let (offsets, targets) = ring(n);
+            let out = gat.forward(&feats, &offsets, &targets);
             assert_eq!(out.shape(), (n, 6));
         }
     }
@@ -727,7 +766,8 @@ mod tests {
         let mut init = Initializer::new(2);
         let mut gat = GraphAttention::new(3, 4, 4, &mut init);
         let feats = Initializer::new(3).normal(5, 3, 1.0);
-        gat.forward(&feats, &ring_neighbors(5));
+        let (offsets, targets) = ring(5);
+        gat.forward(&feats, &offsets, &targets);
         let cache = gat.cache.as_ref().unwrap();
         for alpha in &cache.attention {
             let sum: f64 = alpha.iter().sum();
@@ -741,8 +781,8 @@ mod tests {
         let mut init = Initializer::new(4);
         let mut gat = GraphAttention::new(3, 4, 2, &mut init);
         let feats = Initializer::new(9).normal(3, 3, 1.0);
-        let neighbors = vec![vec![0, 1], vec![1, 0], vec![]];
-        let out = gat.forward(&feats, &neighbors);
+        let (offsets, targets) = csr(&[vec![0, 1], vec![1, 0], vec![]]);
+        let out = gat.forward(&feats, &offsets, &targets);
         // tanh(0) = 0 for the isolated node's row.
         assert!(out.row(2).iter().all(|&v| v == 0.0));
     }
@@ -752,14 +792,14 @@ mod tests {
         let mut init = Initializer::new(7);
         let mut gat = GraphAttention::new(3, 4, 3, &mut init);
         let feats = Initializer::new(13).normal(4, 3, 0.8);
-        let neighbors = ring_neighbors(4);
+        let (offsets, targets) = ring(4);
 
         let loss = |g: &mut GraphAttention, x: &Matrix| -> f64 {
-            let y = g.forward(x, &neighbors);
+            let y = g.forward(x, &offsets, &targets);
             0.5 * y.data().iter().map(|v| v * v).sum::<f64>()
         };
 
-        let y = gat.forward(&feats, &neighbors);
+        let y = gat.forward(&feats, &offsets, &targets);
         let analytic = gat.backward(&y);
         let numeric = numerical_grad(&feats, 1e-6, |probe| loss(&mut gat, probe));
         assert!(
@@ -773,9 +813,9 @@ mod tests {
         let mut init = Initializer::new(21);
         let mut gat = GraphAttention::new(2, 3, 2, &mut init);
         let feats = Initializer::new(5).normal(3, 2, 0.7);
-        let neighbors = ring_neighbors(3);
+        let (offsets, targets) = ring(3);
 
-        let y = gat.forward(&feats, &neighbors);
+        let y = gat.forward(&feats, &offsets, &targets);
         gat.backward(&y);
         let analytic: Vec<Matrix> = gat.params_mut().iter().map(|p| p.grad.clone()).collect();
 
@@ -790,7 +830,7 @@ mod tests {
                     let mut params = gat.params_mut();
                     params[which].value = probe.clone();
                 }
-                let y = gat.forward(&feats, &neighbors);
+                let y = gat.forward(&feats, &offsets, &targets);
                 {
                     let mut params = gat.params_mut();
                     params[which].value = base.clone();
@@ -835,10 +875,12 @@ mod tests {
             offset += n;
         }
 
-        let batched = gat.forward(&stacked, &neighbors);
+        let (offsets, targets) = csr(&neighbors);
+        let batched = gat.forward(&stacked, &offsets, &targets);
         let mut offset = 0;
         for (f, &n) in feats.iter().zip(&sizes) {
-            let single = gat.forward(f, &ring_neighbors(n));
+            let (offsets, targets) = ring(n);
+            let single = gat.forward(f, &offsets, &targets);
             for r in 0..n {
                 for (a, b) in batched.row(offset + r).iter().zip(single.row(r)) {
                     assert_eq!(
@@ -876,7 +918,8 @@ mod tests {
         let mut serial = gat.clone();
         let mut serial_dx = Vec::new();
         for ((f, g), &n) in feats.iter().zip(&grads_out).zip(&sizes) {
-            serial.forward(f, &ring_neighbors(n));
+            let (offsets, targets) = ring(n);
+            serial.forward(f, &offsets, &targets);
             serial_dx.push(serial.backward(g));
         }
         let serial_grads: Vec<Matrix> =
@@ -904,7 +947,8 @@ mod tests {
             offset += n;
         }
 
-        gat.forward(&stacked, &neighbors);
+        let (offsets, targets) = csr(&neighbors);
+        gat.forward(&stacked, &offsets, &targets);
         let dx = gat.backward_batch(&stacked_g, &segments);
         for (&(offset, n), want) in segments.iter().zip(&serial_dx) {
             let got = dx.row_block(offset, n);
@@ -966,11 +1010,11 @@ mod tests {
                     offset += n;
                 }
             }
-            (stacked, neighbors, segments)
+            (stacked, csr(&neighbors), segments)
         };
 
         // Reference: every component physically duplicated.
-        let (dup_feats, dup_nbrs, dup_segs) = stack(2);
+        let (dup_feats, (dup_offsets, dup_targets), dup_segs) = stack(2);
         let mut grad_rows = Matrix::zeros(dup_feats.rows(), 5);
         let mut offset = 0;
         for ((real, fake), &n) in grads.iter().zip(&sizes) {
@@ -983,7 +1027,7 @@ mod tests {
             offset += 2 * n;
         }
         let mut reference = gat.clone();
-        reference.forward(&dup_feats, &dup_nbrs);
+        reference.forward(&dup_feats, &dup_offsets, &dup_targets);
         reference.backward_batch(&grad_rows, &dup_segs);
         let want: Vec<Matrix> = reference
             .params_mut()
@@ -992,9 +1036,9 @@ mod tests {
             .collect();
 
         // Lever: forward each component once, backprop both halves.
-        let (feats1, nbrs1, segs1) = stack(1);
+        let (feats1, (offsets1, targets1), segs1) = stack(1);
         let mut lever = gat.clone();
-        lever.forward(&feats1, &nbrs1);
+        lever.forward(&feats1, &offsets1, &targets1);
         lever.backward_interleaved(&grad_rows, &segs1);
         for (p, want) in lever.params_mut().iter().zip(&want) {
             for (a, b) in p.grad.data().iter().zip(want.data()) {
@@ -1015,15 +1059,16 @@ mod tests {
         let gat = GraphAttention::new(3, 5, 4, &mut Initializer::new(11));
         let n = 6;
         let ring: Vec<Vec<usize>> = (0..n).map(|i| vec![(i + 1) % n, (i + n - 1) % n]).collect();
+        let (offsets, targets) = csr(&ring);
         let base = Initializer::new(12).normal(n, 3, 1.0);
         let mut edited = base.clone();
         edited[(0, 1)] += 0.5;
-        let reference = gat.reference(&base, &ring);
+        let reference = gat.reference(&base, &offsets, &targets);
         let mut pooled = vec![0.0; 5];
-        gat.pooled_embedding(Some(&reference), &edited, &ring, &mut pooled);
+        gat.pooled_embedding(Some(&reference), &edited, &offsets, &targets, &mut pooled);
         let want = gat
             .clone()
-            .forward(&edited, &ring)
+            .forward(&edited, &offsets, &targets)
             .sum_rows()
             .scale(1.0 / n as f64);
         for (a, b) in pooled.iter().zip(want.row(0)) {
@@ -1035,7 +1080,8 @@ mod tests {
     #[should_panic(expected = "backward called before forward")]
     fn clone_does_not_copy_the_tape() {
         let mut gat = GraphAttention::new(2, 3, 2, &mut Initializer::new(0));
-        let y = gat.forward(&Initializer::new(1).normal(3, 2, 1.0), &ring_neighbors(3));
+        let (offsets, targets) = ring(3);
+        let y = gat.forward(&Initializer::new(1).normal(3, 2, 1.0), &offsets, &targets);
         gat.clone().backward(&y);
     }
 
@@ -1044,7 +1090,15 @@ mod tests {
     fn neighbor_list_length_checked() {
         let mut init = Initializer::new(0);
         let mut gat = GraphAttention::new(2, 2, 2, &mut init);
-        gat.forward(&Matrix::zeros(3, 2), &[vec![0]]);
+        gat.forward(&Matrix::zeros(3, 2), &[0, 1], &[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "CSR offsets must rise")]
+    fn csr_offsets_checked() {
+        let mut init = Initializer::new(0);
+        let mut gat = GraphAttention::new(2, 2, 2, &mut init);
+        gat.forward(&Matrix::zeros(2, 2), &[0, 2, 1], &[0]);
     }
 
     #[test]
@@ -1052,6 +1106,6 @@ mod tests {
     fn neighbor_bounds_checked() {
         let mut init = Initializer::new(0);
         let mut gat = GraphAttention::new(2, 2, 2, &mut init);
-        gat.forward(&Matrix::zeros(2, 2), &[vec![5], vec![0]]);
+        gat.forward(&Matrix::zeros(2, 2), &[0, 1, 2], &[5, 0]);
     }
 }

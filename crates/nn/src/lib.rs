@@ -10,7 +10,8 @@
 //!   to the inputs**, which the GON generation loop (eq. 1 of the paper)
 //!   ascends,
 //! * a [`GraphAttention`] layer implementing eq. 4 (graph-to-graph update
-//!   with dot-product self-attention over each node's neighbourhood), with
+//!   with dot-product self-attention over each node's neighbourhood, read
+//!   from a CSR adjacency), with
 //!   a [`GatReference`] for embedding graphs that differ from a reference
 //!   graph in a few nodes without a full forward,
 //! * the [`Adam`] optimizer with decoupled weight decay (lr 1e-4, decay

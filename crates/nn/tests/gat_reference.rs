@@ -12,11 +12,32 @@ const IN_DIM: usize = 6;
 const OUT_DIM: usize = 8;
 const ATT_DIM: usize = 4;
 
+/// The CSR `(offsets, targets)` of per-node neighbour lists: the cases
+/// below edit lists (emptying rows) and hand the GAT their CSR.
+fn csr(lists: &[Vec<usize>]) -> (Vec<usize>, Vec<usize>) {
+    let mut offsets = vec![0];
+    offsets.extend(lists.iter().scan(0, |end, l| {
+        *end += l.len();
+        Some(*end)
+    }));
+    (offsets, lists.concat())
+}
+
+/// A topology's GAT adjacency as per-node lists.
+fn lists(topo: &Topology) -> Vec<Vec<usize>> {
+    let (offsets, targets) = topo.gat_adjacency();
+    offsets
+        .windows(2)
+        .map(|w| targets[w[0]..w[1]].to_vec())
+        .collect()
+}
+
 /// Full forward, then the mean-pool the serial GON forward uses.
 fn pooled_by_forward(gat: &GraphAttention, features: &Matrix, neighbors: &[Vec<usize>]) -> Matrix {
     let n = features.rows() as f64;
+    let (offsets, targets) = csr(neighbors);
     gat.clone()
-        .forward(features, neighbors)
+        .forward(features, &offsets, &targets)
         .sum_rows()
         .scale(1.0 / n)
 }
@@ -28,9 +49,11 @@ fn pooled_against(
     features: &Matrix,
     neighbors: &[Vec<usize>],
 ) -> Vec<f64> {
-    let reference = gat.reference(base_features, base_neighbors);
+    let (base_offsets, base_targets) = csr(base_neighbors);
+    let reference = gat.reference(base_features, &base_offsets, &base_targets);
+    let (offsets, targets) = csr(neighbors);
     let mut pooled = vec![f64::NAN; OUT_DIM];
-    gat.pooled_embedding(Some(&reference), features, neighbors, &mut pooled);
+    gat.pooled_embedding(Some(&reference), features, &offsets, &targets, &mut pooled);
     pooled
 }
 
@@ -39,8 +62,9 @@ fn pooled_cache_free(
     features: &Matrix,
     neighbors: &[Vec<usize>],
 ) -> Vec<f64> {
+    let (offsets, targets) = csr(neighbors);
     let mut pooled = vec![f64::NAN; OUT_DIM];
-    gat.pooled_embedding(None, features, neighbors, &mut pooled);
+    gat.pooled_embedding(None, features, &offsets, &targets, &mut pooled);
     pooled
 }
 
@@ -107,7 +131,7 @@ proptest! {
         let base_topo = Topology::balanced(n_hosts, n_brokers).unwrap();
         let mut base_features = Initializer::new(seed ^ 0x5eed).normal(n_hosts, IN_DIM, 1.0);
         set_role_columns(&mut base_features, &base_topo);
-        let mut base_neighbors = base_topo.gat_neighbors();
+        let mut base_neighbors = lists(&base_topo);
 
         let mut topo = base_topo.clone();
         apply_moves(&mut topo, &ops);
@@ -118,7 +142,7 @@ proptest! {
             let col = (e / n_hosts) % IN_DIM;
             features[(row, col)] = (e % 997) as f64 / 997.0 - 0.5;
         }
-        let mut neighbors = topo.gat_neighbors();
+        let mut neighbors = lists(&topo);
         for x in isolate {
             let node = x % n_hosts;
             match (x / n_hosts) % 3 {
@@ -155,7 +179,7 @@ proptest! {
         apply_moves(&mut topo, &ops);
         let mut features = Initializer::new(seed ^ 0xfeed).normal(n_hosts, IN_DIM, 1.0);
         set_role_columns(&mut features, &topo);
-        let mut neighbors = topo.gat_neighbors();
+        let mut neighbors = lists(&topo);
         for x in isolate {
             neighbors[x % n_hosts].clear();
         }
@@ -193,15 +217,18 @@ fn reference_of_another_size_embeds_from_scratch() {
     let big = Topology::balanced(9, 3).unwrap();
     let small_features = Initializer::new(4).normal(4, IN_DIM, 1.0);
     let big_features = Initializer::new(5).normal(9, IN_DIM, 1.0);
-    let reference = gat.reference(&small_features, &small.gat_neighbors());
+    let (small_offsets, small_targets) = small.gat_adjacency();
+    let reference = gat.reference(&small_features, &small_offsets, &small_targets);
+    let (big_offsets, big_targets) = big.gat_adjacency();
     let mut pooled = vec![0.0; OUT_DIM];
     gat.pooled_embedding(
         Some(&reference),
         &big_features,
-        &big.gat_neighbors(),
+        &big_offsets,
+        &big_targets,
         &mut pooled,
     );
-    let want = pooled_by_forward(&gat, &big_features, &big.gat_neighbors());
+    let want = pooled_by_forward(&gat, &big_features, &lists(&big));
     for (a, b) in pooled.iter().zip(want.row(0)) {
         assert_eq!(a.to_bits(), b.to_bits());
     }

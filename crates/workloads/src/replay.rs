@@ -37,7 +37,7 @@ use crate::Workload;
 use edgesim::TaskSpec;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::io::BufRead;
+use std::io::{BufRead, Read};
 
 /// Schema identifier carried by the trace header line.
 pub const TRACE_SCHEMA: &str = "carol-trace";
@@ -168,6 +168,15 @@ pub enum TraceError {
         /// 1-based line number.
         line: usize,
     },
+    /// A line is longer than [`MAX_LINE_BYTES`], newline included.
+    /// Reading stops at the cap, so a peer that never ends its line
+    /// cannot grow the buffer without bound.
+    LineTooLong {
+        /// 1-based line number.
+        line: usize,
+        /// The cap, in bytes including the newline.
+        limit: usize,
+    },
     /// The underlying reader failed (streaming ingestion only; the
     /// in-memory [`load_jsonl`] never raises it).
     Io {
@@ -209,6 +218,9 @@ impl fmt::Display for TraceError {
             }
             TraceError::EmptyApp { line } => {
                 write!(f, "line {line}: event has an empty app name")
+            }
+            TraceError::LineTooLong { line, limit } => {
+                write!(f, "line {line}: longer than {limit} bytes")
             }
             TraceError::Io { line, message } => {
                 write!(f, "line {line}: read failed: {message}")
@@ -287,10 +299,9 @@ impl<R: BufRead> StreamingTrace<R> {
     pub fn open(mut reader: R) -> Result<Self, TraceError> {
         let mut line = 0usize;
         let header_raw = loop {
-            let mut buf = String::new();
-            let read = reader.read_to_line(&mut buf, line + 1)?;
+            let buf = reader.read_to_line(line + 1)?;
             line += 1;
-            if read == 0 {
+            if buf.is_empty() {
                 return Err(TraceError::Header {
                     message: "empty input".to_string(),
                 });
@@ -327,18 +338,28 @@ impl<R: BufRead> StreamingTrace<R> {
     }
 }
 
-/// `read_line` with the error wrapped as a [`TraceError::Io`] carrying
-/// the line number being read.
+/// Longest trace line [`StreamingTrace`] reads, in bytes including the
+/// newline. Recorded event lines are about 200 bytes.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Reads line `line` (newline included; empty at end of input) through
+/// a [`MAX_LINE_BYTES`] cap, with errors as [`TraceError`]s carrying the
+/// line number.
 trait ReadToLine {
-    fn read_to_line(&mut self, buf: &mut String, line: usize) -> Result<usize, TraceError>;
+    fn read_to_line(&mut self, line: usize) -> Result<String, TraceError>;
 }
 
 impl<R: BufRead> ReadToLine for R {
-    fn read_to_line(&mut self, buf: &mut String, line: usize) -> Result<usize, TraceError> {
-        self.read_line(buf).map_err(|e| TraceError::Io {
-            line,
-            message: e.to_string(),
-        })
+    fn read_to_line(&mut self, line: usize) -> Result<String, TraceError> {
+        let io = |message: String| TraceError::Io { line, message };
+        let mut bytes = Vec::new();
+        let cap = MAX_LINE_BYTES as u64 + 1;
+        let read = self.by_ref().take(cap).read_until(b'\n', &mut bytes);
+        if read.map_err(|e| io(e.to_string()))? > MAX_LINE_BYTES {
+            let limit = MAX_LINE_BYTES;
+            return Err(TraceError::LineTooLong { line, limit });
+        }
+        String::from_utf8(bytes).map_err(|e| io(e.to_string()))
     }
 }
 
@@ -350,15 +371,14 @@ impl<R: BufRead> Iterator for StreamingTrace<R> {
             return None;
         }
         let result = loop {
-            let mut buf = String::new();
-            match self.reader.read_to_line(&mut buf, self.line + 1) {
+            let buf = match self.reader.read_to_line(self.line + 1) {
                 Err(e) => break Err(e),
-                Ok(0) => {
+                Ok(buf) if buf.is_empty() => {
                     self.done = true;
                     return None;
                 }
-                Ok(_) => {}
-            }
+                Ok(buf) => buf,
+            };
             self.line += 1;
             let raw = buf.trim_end_matches(['\n', '\r']);
             if raw.trim().is_empty() {
@@ -709,6 +729,33 @@ mod tests {
             matches!(err, TraceError::Malformed { line: 3, .. }),
             "{err:?}"
         );
+    }
+
+    /// A peer that never sends a newline gets a typed error once the
+    /// line passes the cap, whether it is the header or an event line.
+    #[test]
+    fn newline_free_stream_is_line_too_long() {
+        use std::io::BufReader;
+        let endless = || std::io::repeat(b'a').take(2 * MAX_LINE_BYTES as u64);
+        let header = export_jsonl(&[]);
+        let reader = BufReader::new(header.as_bytes().chain(endless()));
+        let mut stream = StreamingTrace::open(reader).unwrap();
+        let limit = MAX_LINE_BYTES;
+        assert_eq!(
+            stream.next().unwrap().unwrap_err(),
+            TraceError::LineTooLong { line: 2, limit }
+        );
+        assert!(stream.next().is_none(), "errors fuse the stream");
+        let err = StreamingTrace::open(BufReader::new(endless())).unwrap_err();
+        assert_eq!(err, TraceError::LineTooLong { line: 1, limit });
+        // A line of exactly the cap, newline included, still reads.
+        let mut text = header;
+        text.push_str(&" ".repeat(MAX_LINE_BYTES - 1));
+        text.push('\n');
+        assert!(StreamingTrace::open(text.as_bytes())
+            .unwrap()
+            .next()
+            .is_none());
     }
 
     #[test]

@@ -291,3 +291,101 @@ fn documents_with_retired_engine_keys_parse_and_run() {
     assert_eq!(back.engine, par::EngineConfig { threads: Some(2) });
     assert_eq!(back.carol_config().eval_threads, Some(2));
 }
+
+/// Checkpoints written while `SystemState` stored the GAT adjacency carry
+/// a `"neighbors"` list-of-lists in every Γ state. The JSON layer ignores
+/// the unknown key, so such a checkpoint restores, fine-tunes on its Γ,
+/// observes and repairs bit-identically to the current document.
+#[test]
+fn checkpoints_with_stale_gamma_neighbors_restore_bit_identically() {
+    use carol::carol::{Carol, CarolCheckpoint, CarolConfig, FineTuneMode};
+    use carol::policy::ResiliencePolicy;
+    use edgesim::scheduler::LeastLoadScheduler;
+    use edgesim::{FaultLoad, Simulator};
+
+    let capture = |sim: &Simulator, decision: &edgesim::SchedulingDecision| {
+        SystemState::capture(
+            sim.topology(),
+            sim.specs(),
+            sim.host_states(),
+            sim.tasks(),
+            decision,
+            &Normalizer::default(),
+        )
+    };
+    // Confidence mode fills Γ; POT cannot alarm (and clear it) before
+    // its calibration ends, long after these intervals.
+    let mut policy = Carol::pretrained(
+        CarolConfig {
+            fine_tune: FineTuneMode::Confidence,
+            ..CarolConfig::fast_test()
+        },
+        6,
+    );
+    let mut sim = Simulator::new(SimConfig::small(8, 2, 6));
+    let mut sched = LeastLoadScheduler::new();
+    for _ in 0..3 {
+        let report = sim.step(Vec::new(), &mut sched);
+        policy.observe(&sim, &capture(&sim, &report.decision), &report);
+    }
+    let ckpt = policy.checkpoint().expect("GON checkpoints");
+    assert!(ckpt.gamma.len() > 1, "fault-free intervals feed Γ");
+
+    // Each Γ state's compact form appears verbatim in the compact
+    // document; prefix it with the adjacency lists the old format wrote.
+    let json = serde_json::to_string(&ckpt).unwrap();
+    let mut stale = json.clone();
+    for state in &ckpt.gamma {
+        let (offsets, targets) = state.topology.gat_adjacency();
+        let lists: Vec<Vec<usize>> = offsets
+            .windows(2)
+            .map(|w| targets[w[0]..w[1]].to_vec())
+            .collect();
+        let current = serde_json::to_string(state).unwrap();
+        let old = format!(
+            "{{\"neighbors\":{},{}",
+            serde_json::to_string(&lists).unwrap(),
+            &current[1..]
+        );
+        stale = stale.replacen(&current, &old, 1);
+    }
+    assert_eq!(stale.matches("\"neighbors\"").count(), ckpt.gamma.len());
+    assert!(!json.contains("\"neighbors\""), "Γ no longer writes it");
+
+    // Both documents restore; both then fine-tune on Γ at the first
+    // observe, and face the same broker fault.
+    let restore = |text: &str| {
+        let mut ckpt = CarolCheckpoint::from_json(text).expect("checkpoint parses");
+        ckpt.config.fine_tune = FineTuneMode::Always;
+        Carol::restore(&ckpt).expect("checkpoint restores")
+    };
+    let (mut current, mut old) = (restore(&json), restore(&stale));
+    let mut repaired = false;
+    for t in 0..4 {
+        if t == 2 {
+            let broker = sim.topology().brokers()[0];
+            let cpu = FaultLoad {
+                cpu: 1.0,
+                ..Default::default()
+            };
+            sim.inject_fault(broker, cpu);
+        }
+        let report = sim.step(Vec::new(), &mut sched);
+        let snapshot = capture(&sim, &report.decision);
+        let repair = current.repair(&sim, &snapshot);
+        assert_eq!(repair, old.repair(&sim, &snapshot), "interval {t}");
+        current.observe(&sim, &snapshot, &report);
+        old.observe(&sim, &snapshot, &report);
+        if let Some(topo) = repair {
+            repaired |= &topo != sim.topology();
+            sim.set_topology(topo);
+        }
+    }
+    assert!(repaired, "the fault must be repaired");
+    assert!(current.fine_tune_count() > 0, "Γ must be fine-tuned on");
+    assert_eq!(
+        current.checkpoint().unwrap().to_json(),
+        old.checkpoint().unwrap().to_json(),
+        "weights, optimiser, histories and Γ must match bit for bit"
+    );
+}
